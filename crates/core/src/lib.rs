@@ -391,17 +391,25 @@ impl PreparedUnion {
     /// empty union or incompatible disjuncts — lets a serving layer build
     /// unions out of its shared per-query [`Prepared`] cache.
     pub fn from_disjuncts(disjuncts: Vec<Prepared>) -> Result<PreparedUnion, CoreError> {
-        let Some(first) = disjuncts.first() else {
-            return Err(CoreError::Type("a union query needs at least one disjunct".into()));
-        };
-        let mut ty = first.ty.clone();
-        for p in &disjuncts[1..] {
-            ty = ty
-                .lub(&p.ty)
-                .ok_or_else(|| CoreError::TypeMismatch(Box::new((ty.clone(), p.ty.clone()))))?;
-        }
+        let ty = union_type(disjuncts.iter().map(|p| &p.ty))?;
         Ok(PreparedUnion { disjuncts, ty })
     }
+}
+
+/// The answer type of a union: the least upper bound of its members'
+/// result types. Errors on an empty union or on members with no common
+/// bound. Checking `union_type([&left, &right])` up front is the
+/// cross-disjunct compatibility check every union decision makes.
+pub fn union_type<'a>(tys: impl IntoIterator<Item = &'a Type>) -> Result<Type, CoreError> {
+    let mut tys = tys.into_iter();
+    let Some(first) = tys.next() else {
+        return Err(CoreError::Type("a union query needs at least one disjunct".into()));
+    };
+    let mut ty = first.clone();
+    for t in tys {
+        ty = ty.lub(t).ok_or_else(|| CoreError::TypeMismatch(Box::new((ty.clone(), t.clone()))))?;
+    }
+    Ok(ty)
 }
 
 /// Prepares every disjunct of a union query and checks that their result
@@ -478,20 +486,39 @@ pub fn union_contained_prepared_with(
     right: &PreparedUnion,
     opts: UnionOptions,
 ) -> Result<UnionAnalysis, CoreError> {
-    if left.ty.lub(&right.ty).is_none() {
-        return Err(CoreError::TypeMismatch(Box::new((left.ty.clone(), right.ty.clone()))));
-    }
+    union_type([&left.ty, &right.ty])?;
     let threads = union_threads(opts, right.disjuncts.len());
-    let mut witnesses = Vec::with_capacity(left.disjuncts.len());
-    let mut pairs_decided = 0u32;
-    for (j, p) in left.disjuncts.iter().enumerate() {
+    sagiv_yannakakis(left.disjuncts.len(), |j, pairs| {
         interrupt::probe().map_err(|_| CoreError::Interrupted)?;
-        let found = if threads > 1 {
-            witness_parallel(p, &right.disjuncts, threads, &mut pairs_decided)?
+        let p = &left.disjuncts[j];
+        if threads > 1 {
+            witness_parallel(p, &right.disjuncts, threads, pairs)
         } else {
-            witness_sequential(p, &right.disjuncts, &mut pairs_decided)?
-        };
-        match found {
+            first_witness(right.disjuncts.len(), pairs, |i| {
+                Ok(contained_prepared(p, &right.disjuncts[i])?.holds)
+            })
+        }
+    })
+}
+
+/// The Sagiv–Yannakakis walk over `left` disjuncts: `∪Pⱼ ⊑ ∪Qᵢ` holds iff
+/// every `Pⱼ` has a witness `Qᵢ ⊇ Pⱼ`. `witness(j, pairs)` searches the
+/// right disjuncts for left disjunct `j`, adding the pair decisions it ran
+/// to `pairs`; the walk collects the witnesses in left order and stops at
+/// the first disjunct without one, naming it as refuted.
+///
+/// Generic over how pairs are decided, so every caller shares this loop:
+/// [`union_contained_prepared_with`] searches with the kernels directly
+/// (fanned out or via [`first_witness`]), and a serving layer can decide
+/// each pair through its own memo.
+pub fn sagiv_yannakakis<E>(
+    left: usize,
+    mut witness: impl FnMut(usize, &mut u32) -> Result<Option<u32>, E>,
+) -> Result<UnionAnalysis, E> {
+    let mut witnesses = Vec::with_capacity(left);
+    let mut pairs_decided = 0u32;
+    for j in 0..left {
+        match witness(j, &mut pairs_decided)? {
             Some(i) => witnesses.push(i),
             None => {
                 return Ok(UnionAnalysis {
@@ -514,14 +541,16 @@ fn union_threads(opts: UnionOptions, right_len: usize) -> usize {
     configured.min(right_len).max(1)
 }
 
-fn witness_sequential(
-    p: &Prepared,
-    right: &[Prepared],
+/// Sequential witness search for [`sagiv_yannakakis`]: the first of `right`
+/// indices whose pair `holds`, counting each pair decided into `pairs`.
+pub fn first_witness<E>(
+    right: usize,
     pairs: &mut u32,
-) -> Result<Option<u32>, CoreError> {
-    for (i, q) in right.iter().enumerate() {
+    mut holds: impl FnMut(usize) -> Result<bool, E>,
+) -> Result<Option<u32>, E> {
+    for i in 0..right {
         *pairs += 1;
-        if contained_prepared(p, q)?.holds {
+        if holds(i)? {
             return Ok(Some(i as u32));
         }
     }

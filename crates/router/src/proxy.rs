@@ -242,6 +242,8 @@ impl Router {
     }
 
     /// Registers a schema locally and broadcasts it to every up shard.
+    /// Shards receive a one-line rendering of the parsed schema, so a
+    /// multi-line declaration (a `--schema` file) reaches them whole.
     /// Returns `(fp, relations, acked, shard count)`.
     pub fn register_schema(
         &self,
@@ -251,8 +253,15 @@ impl Router {
         let flat = parse_schema_decl(decl)?;
         let relations = flat.len();
         let fp = fingerprint_schema(&flat);
+        let one_line: Vec<String> = flat
+            .iter()
+            .map(|rel| {
+                let attrs: Vec<String> = rel.attrs.iter().map(|a| a.name()).collect();
+                format!("{}({})", rel.name.name(), attrs.join(", "))
+            })
+            .collect();
         let entry = Arc::new(SchemaEntry {
-            decl: decl.to_string(),
+            decl: one_line.join("; "),
             coql: CoqlSchema::from_flat(&flat),
             fp,
         });
@@ -350,8 +359,9 @@ impl Router {
         })?;
         // Local canonicalization: parse/type errors are answered here,
         // identically to a shard, without spending a forward. Union
-        // requests fingerprint each side order-invariantly so the route
-        // key matches the shard's union memo key exactly.
+        // requests fingerprint each side order-invariantly so every
+        // rendering of one union pair routes to the shard whose memo holds
+        // its disjunct-pair verdicts.
         let fingerprint = |q: &str| {
             if union {
                 canonical_union_fingerprint(&entry.coql, q, self.config.max_parse_depth)

@@ -192,7 +192,7 @@ fn ucheck_duplicates_stay_cache_affine() {
     // One semantic union pair, rendered six ways: permuted disjuncts,
     // α-renamed variables, and a duplicated disjunct. The order-invariant
     // union fingerprint routes every rendering to ONE shard, so all five
-    // repeats answer from that shard's union memo.
+    // repeats answer from the pair verdicts memoized there.
     let renderings = [
         "select x.B from x in R where x.A = 1 or select x.B from x in R where x.A = 2 \
          ;; select y.B from y in R",
@@ -214,7 +214,7 @@ fn ucheck_duplicates_stay_cache_affine() {
         assert!(reply.contains(expect), "rendering {i} answered `{reply}`");
     }
 
-    // Exactly one shard holds the memo entry; the fleet-wide hit total is
+    // Exactly one shard holds the pair verdicts; the fleet-wide hit total is
     // exactly the repeat count — a misrouted duplicate would recompute
     // (cached=false) on some other shard instead.
     let mut total_hits = 0;
@@ -222,10 +222,10 @@ fn ucheck_duplicates_stay_cache_affine() {
     for addr in &addrs {
         let mut shard = Client::connect(*addr);
         total_hits += shard.stat("unions.hits");
-        shards_with_entries += u64::from(shard.stat("unions.entries") > 0);
+        shards_with_entries += u64::from(shard.stat("cache.entries") > 0);
     }
     assert_eq!(total_hits, renderings.len() as u64 - 1, "every repeat must hit the same memo");
-    assert_eq!(shards_with_entries, 1, "union verdict memoized on exactly one shard");
+    assert_eq!(shards_with_entries, 1, "pair verdicts memoized on exactly one shard");
 
     // CERT UCHECK passes through the router multi-line, certificate
     // block intact and checkable.
@@ -270,6 +270,32 @@ fn ucheck_duplicates_stay_cache_affine() {
             .expect("router.local_errors present")
     };
     assert_eq!(after, before + 1, "malformed union answered locally, no shard round-trip");
+
+    stop.trigger();
+    handle.join().unwrap();
+    for (_, s, h) in shards {
+        s.trigger();
+        h.join().unwrap();
+    }
+}
+
+#[test]
+fn multi_line_schemas_reach_the_shards_whole() {
+    let shards: Vec<_> = (0..2).map(|_| start_shard(false)).collect();
+    let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.0).collect();
+    let (router_addr, router, stop, handle) = start_router(&addrs, test_config());
+
+    // A `--schema` file declares one relation per line.
+    let (_, relations, acked, total) = router.register_schema("app", "R(A, B)\nS(C)").unwrap();
+    assert_eq!((relations, acked, total), (2, 2, 2));
+    let mut c = Client::connect(router_addr);
+    let reply = c.send("CHECK app select y.C from y in S where y.C = 1 ;; select z.C from z in S");
+    assert!(reply.starts_with("OK holds=true"), "{reply}");
+    for addr in &addrs {
+        let reply = Client::connect(*addr)
+            .send("CHECK app select y.C from y in S ;; select z.C from z in S");
+        assert!(reply.starts_with("OK holds=true"), "shard {addr}: {reply}");
+    }
 
     stop.trigger();
     handle.join().unwrap();

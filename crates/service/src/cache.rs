@@ -78,7 +78,9 @@ struct Shard {
 impl Shard {
     fn new(capacity: usize) -> Shard {
         Shard {
-            map: HashMap::with_capacity(capacity.min(1024)),
+            // The index grows on demand: a preallocated table scatters even
+            // a few hundred keys over hundreds of pages, each one resident.
+            map: HashMap::new(),
             slab: Vec::with_capacity(capacity.min(1024)),
             free: Vec::new(),
             head: NIL,

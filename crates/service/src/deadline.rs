@@ -50,9 +50,11 @@ impl Deadline {
 pub struct RequestBudget {
     /// Wall-clock limit for the whole request (parse, prepare, decide).
     pub timeout: Option<Duration>,
-    /// Kernel step limit per containment direction (one step ≈ one
-    /// homomorphism probe / worklist pop / emptiness pattern). Mostly a
-    /// deterministic testing hook; production callers want `timeout`.
+    /// Kernel step limit per disjunct-pair decision — one per direction
+    /// of a `CHECK`/`EQUIV`, one per pair a union walk examines (one step
+    /// ≈ one homomorphism probe / worklist pop / emptiness pattern).
+    /// Mostly a deterministic testing hook; production callers want
+    /// `timeout`.
     pub steps: Option<u64>,
 }
 

@@ -6,6 +6,11 @@
 //! coalesces concurrent identical requests so a verdict is computed at
 //! most once no matter how many clients ask simultaneously.
 //!
+//! Every decision is one Sagiv–Yannakakis walk over disjunct pairs
+//! ([`co_core::sagiv_yannakakis`]); a scalar `CHECK` is the 1×1 walk. The
+//! memo unit is the pair verdict, so union verdicts share the scalar memo,
+//! coalescer, snapshots and certificate re-check.
+//!
 //! The per-request cost is parse + normalize + fingerprint (linear in the
 //! query text); the exponential decision procedures run only on cache
 //! misses, which a duplicate-heavy workload makes rare.
@@ -20,13 +25,16 @@ use std::time::{Duration, Instant};
 use co_core::{ContainmentAnalysis, CoreError, Equivalence, Prepared};
 use co_cq::Schema;
 use co_lang::{CoqlSchema, EmptySetStatus};
-use co_object::{interrupt, par};
+use co_object::{interrupt, par, Type};
 use co_trace::{kernel, Span};
 
 use crate::cache::{CacheEntry, CacheKey, CacheStats, MemoCache};
 use crate::deadline::{Deadline, RequestBudget};
 use crate::faults;
-use crate::fingerprint::{fingerprint_query, fingerprint_schema, fingerprint_union, Fingerprint};
+use crate::fingerprint::{
+    canonical_fingerprint, fingerprint_query, fingerprint_schema, fingerprint_union,
+    parse_error_message, Fingerprint,
+};
 use crate::snapshot::{self, LoadOutcome};
 use crate::stats::{path_index, EngineStats};
 use crate::sync;
@@ -167,7 +175,8 @@ pub enum Decision {
     Union {
         /// The union verdict with witness provenance.
         analysis: co_core::UnionAnalysis,
-        /// Served from the union memo rather than computed.
+        /// Every examined disjunct pair was served from the memo cache (or
+        /// coalesced onto an in-flight computation) rather than computed.
         cached: bool,
         /// Order-invariant union fingerprint of `q1`.
         fp1: Fingerprint,
@@ -186,7 +195,7 @@ pub enum Decision {
         forward: bool,
         /// `∪q2ᵢ ⊑ ∪q1ⱼ`.
         backward: bool,
-        /// Both directions were served from the union memo.
+        /// Every examined pair of both directions was served from the memo.
         cached: bool,
         /// Order-invariant union fingerprint of `q1`.
         fp1: Fingerprint,
@@ -276,7 +285,73 @@ struct SchemaEntry {
     fp: Fingerprint,
 }
 
-/// What one containment direction produced: a real cache entry (analysis
+/// One side of a request after analysis: the fingerprint the reply and
+/// the routing tier speak about (the query's own for `CHECK`/`EQUIV`, the
+/// order-invariant union fingerprint for `UCHECK`/`UEQUIV`), the side's
+/// answer type, and every disjunct's fingerprint and shared [`Prepared`]
+/// form in the request's own order. A scalar query is one disjunct.
+struct Side {
+    fp: Fingerprint,
+    ty: Type,
+    disjuncts: Vec<(Fingerprint, Arc<Prepared>)>,
+}
+
+/// One direction's Sagiv–Yannakakis walk ([`Engine::walk`]).
+struct Walk {
+    analysis: co_core::UnionAnalysis,
+    /// The verdict of every pair the walk examined, at `j * width + i`.
+    pairs: Vec<Option<CacheEntry>>,
+    /// Number of right disjuncts.
+    width: usize,
+    /// Every examined pair was served without computing.
+    cached: bool,
+}
+
+impl Walk {
+    /// The one pair verdict of a scalar (1×1) walk.
+    fn scalar(&mut self) -> CacheEntry {
+        self.pairs[0].take().expect("a 1×1 walk decides its only pair")
+    }
+
+    /// The walk's `COUNION1` certificate, assembled from the `COCERT1`
+    /// certificates of the pairs that carry the verdict — one witness per
+    /// left disjunct, or every branch of the refuted one — indexed by the
+    /// request's own disjunct order.
+    fn union_cert(&self) -> Result<String, String> {
+        let cert = |j: usize, i: u32| {
+            let wire = self.pairs[j * self.width + i as usize]
+                .as_ref()
+                .and_then(|pair| pair.cert.as_deref())
+                .ok_or_else(|| format!("CERTUNAVAILABLE pair ({j}, {i}) carried no certificate"))?;
+            co_cert::Cert::parse(wire)
+                .map(|cert| (i, cert))
+                .map_err(|e| format!("CERTUNAVAILABLE pair ({j}, {i}): {e}"))
+        };
+        let a = &self.analysis;
+        let (witnesses, branches) = match a.refuted {
+            None => {
+                let witnesses = a.witnesses.iter().enumerate().map(|(j, &i)| cert(j, i));
+                (witnesses.collect::<Result<_, String>>()?, Vec::new())
+            }
+            Some(x) => {
+                let branches = (0..self.width as u32).map(|i| cert(x as usize, i));
+                (Vec::new(), branches.collect::<Result<_, String>>()?)
+            }
+        };
+        let left = self.pairs.len() / self.width;
+        let union = co_cert::UnionCert {
+            holds: a.holds,
+            left,
+            right: self.width,
+            witnesses,
+            refuted: a.refuted,
+            branches,
+        };
+        Ok(union.to_wire())
+    }
+}
+
+/// What one pair decision produced: a real cache entry (analysis
 /// plus any certificate) or a timeout. (Timeouts propagate to coalesced
 /// waiters but are never cached.)
 #[derive(Clone)]
@@ -296,27 +371,6 @@ enum CertAttempt {
     /// The verdict stands but no certificate could be constructed
     /// (surfaced to the client as `ERR CERTUNAVAILABLE`).
     Unavailable(String),
-}
-
-/// A memoized union verdict (analysis plus any certificate), keyed by the
-/// pair of order-invariant union fingerprints. Unions live in their own
-/// memo (not [`MemoCache`]) so the scalar snapshot format (`COQLSNP1`) is
-/// untouched; union verdicts are recomputed after a restart.
-#[derive(Clone)]
-struct UnionEntry {
-    analysis: co_core::UnionAnalysis,
-    cert: Option<String>,
-}
-
-/// Cap on memoized union verdicts — union requests are rarer and heavier
-/// than scalar ones, so a single flat map with arbitrary-victim eviction
-/// is enough.
-const UNION_MEMO_CAP: usize = 4096;
-
-/// What one union decision produced (timeouts propagate, never memoized).
-enum UnionComputed {
-    Done(UnionEntry),
-    TimedOut,
 }
 
 type SlotResult = Result<Computed, String>;
@@ -366,25 +420,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-/// Renders a parse failure for the wire. Depth-cap rejections get a
-/// `TOODEEP` prefix so the protocol reply (`ERR TOODEEP …`) is machine
-/// distinguishable from a syntax error.
-fn parse_error_message(e: &co_lang::ParseError) -> String {
-    if e.is_too_deep() {
-        format!("TOODEEP {e}")
-    } else {
-        e.to_string()
-    }
-}
-
 /// The containment-decision engine. Cheap to share: wrap it in an [`Arc`]
 /// and hand clones to every connection/worker.
 pub struct Engine {
     schemas: RwLock<HashMap<String, Arc<SchemaEntry>>>,
     cache: MemoCache,
     prepared: RwLock<HashMap<(Fingerprint, Fingerprint), Arc<Prepared>>>,
-    prepared_unions: RwLock<HashMap<(Fingerprint, Fingerprint), Arc<co_core::PreparedUnion>>>,
-    unions: Mutex<HashMap<CacheKey, UnionEntry>>,
     inflight: Mutex<HashMap<CacheKey, Arc<InFlightSlot>>>,
     stats: EngineStats,
     workers: usize,
@@ -416,8 +457,6 @@ impl Engine {
             schemas: RwLock::new(HashMap::new()),
             cache: MemoCache::new(config.cache_shards, config.cache_per_shard),
             prepared: RwLock::new(HashMap::new()),
-            prepared_unions: RwLock::new(HashMap::new()),
-            unions: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             stats: EngineStats::default(),
             workers: config.workers.max(1),
@@ -571,81 +610,25 @@ impl Engine {
             .ok_or_else(|| format!("unknown schema `{name}` (register it with SCHEMA first)"))
     }
 
-    /// Parses, normalizes, and fingerprints one query; returns its
-    /// fingerprint and the shared [`Prepared`] form (reused across every
-    /// pair this query appears in). With an [`Explain`] attached, each
-    /// stage's wall time is accumulated into the matching phase field.
+    /// Parses, normalizes, and fingerprints one side of a request — one
+    /// query, or with `union` an `or`-union of them — and looks up (or
+    /// builds) each disjunct's shared [`Prepared`] form, reused across
+    /// every pair it appears in. With an [`Explain`] attached, each stage's
+    /// wall time is accumulated into the matching phase field.
     fn analyze(
         &self,
         entry: &SchemaEntry,
         text: &str,
+        union: bool,
         ex: Option<&mut Explain>,
-    ) -> Result<(Fingerprint, Arc<Prepared>), String> {
+    ) -> Result<Side, String> {
         let span = Span::start();
-        let expr = co_lang::parse_coql_with_depth(text, self.max_parse_depth)
-            .map_err(|e| parse_error_message(&e))?;
-        co_lang::type_check(&expr, &entry.coql).map_err(|e| e.to_string())?;
-        let parse_us = span.elapsed_us();
-
-        let span = Span::start();
-        let nf = co_lang::normalize(&expr, &entry.coql).map_err(|e| e.to_string())?;
-        let canonicalize_us = span.elapsed_us();
-
-        let span = Span::start();
-        let fp = fingerprint_query(&nf);
-        let fingerprint_us = span.elapsed_us();
-
-        let span = Span::start();
-        let pkey = (entry.fp, fp);
-        // Bind the lookup before matching: a guard temporary in the match
-        // scrutinee would live through the `None` arm and deadlock against
-        // the write lock taken there.
-        let known = sync::read(&self.prepared).get(&pkey).cloned();
-        let shared = match known {
-            Some(p) => p,
-            None => {
-                let prepared =
-                    Arc::new(co_core::prepare(&expr, &entry.flat).map_err(|e| e.to_string())?);
-                let mut map = sync::write(&self.prepared);
-                // A racing thread may have inserted an equivalent Prepared;
-                // keep the first so every holder shares one allocation.
-                Arc::clone(map.entry(pkey).or_insert(prepared))
-            }
-        };
-        if let Some(ex) = ex {
-            ex.parse_us += parse_us;
-            ex.canonicalize_us += canonicalize_us;
-            ex.fingerprint_us += fingerprint_us;
-            ex.prepare_us += span.elapsed_us();
+        let exprs = if union {
+            co_lang::parse_union_coql_with_depth(text, self.max_parse_depth)
+        } else {
+            co_lang::parse_coql_with_depth(text, self.max_parse_depth).map(|expr| vec![expr])
         }
-        Ok((fp, shared))
-    }
-
-    /// Fingerprint of one query under a registered schema (the `coqlc
-    /// fingerprint` / `FINGERPRINT` debugging path).
-    pub fn fingerprint(&self, schema: &str, text: &str) -> Result<Fingerprint, String> {
-        let entry = self.resolve_schema(schema)?;
-        let expr = co_lang::parse_coql_with_depth(text, self.max_parse_depth)
-            .map_err(|e| parse_error_message(&e))?;
-        co_lang::type_check(&expr, &entry.coql).map_err(|e| e.to_string())?;
-        let nf = co_lang::normalize(&expr, &entry.coql).map_err(|e| e.to_string())?;
-        Ok(fingerprint_query(&nf))
-    }
-
-    /// Parses, normalizes, and fingerprints one *union* query text;
-    /// returns the order-invariant union fingerprint and the shared
-    /// [`co_core::PreparedUnion`] (one per distinct canonical union,
-    /// with each disjunct's [`Prepared`] drawn from the same shared map
-    /// the scalar path uses).
-    fn analyze_union(
-        &self,
-        entry: &SchemaEntry,
-        text: &str,
-        ex: Option<&mut Explain>,
-    ) -> Result<(Fingerprint, Arc<co_core::PreparedUnion>), String> {
-        let span = Span::start();
-        let exprs = co_lang::parse_union_coql_with_depth(text, self.max_parse_depth)
-            .map_err(|e| parse_error_message(&e))?;
+        .map_err(|e| parse_error_message(&e))?;
         for expr in &exprs {
             co_lang::type_check(expr, &entry.coql).map_err(|e| e.to_string())?;
         }
@@ -659,47 +642,48 @@ impl Engine {
         let canonicalize_us = span.elapsed_us();
 
         let span = Span::start();
-        let dfps: Vec<Fingerprint> = nfs.iter().map(fingerprint_query).collect();
-        let ufp = fingerprint_union(&dfps);
+        let fps: Vec<Fingerprint> = nfs.iter().map(fingerprint_query).collect();
+        let fp = if union { fingerprint_union(&fps) } else { fps[0] };
         let fingerprint_us = span.elapsed_us();
 
         let span = Span::start();
-        let ukey = (entry.fp, ufp);
-        let known = sync::read(&self.prepared_unions).get(&ukey).cloned();
-        let shared = match known {
-            Some(u) => u,
-            None => {
-                let mut disjuncts = Vec::with_capacity(exprs.len());
-                for (expr, &dfp) in exprs.iter().zip(&dfps) {
-                    let pkey = (entry.fp, dfp);
-                    let known = sync::read(&self.prepared).get(&pkey).cloned();
-                    let p = match known {
-                        Some(p) => p,
-                        None => {
-                            let prepared = Arc::new(
-                                co_core::prepare(expr, &entry.flat).map_err(|e| e.to_string())?,
-                            );
-                            let mut map = sync::write(&self.prepared);
-                            Arc::clone(map.entry(pkey).or_insert(prepared))
-                        }
-                    };
-                    disjuncts.push((*p).clone());
+        let mut disjuncts = Vec::with_capacity(exprs.len());
+        for (expr, dfp) in exprs.iter().zip(fps) {
+            let pkey = (entry.fp, dfp);
+            // Bind the lookup before matching: a guard temporary in the
+            // match scrutinee would live through the `None` arm and
+            // deadlock against the write lock taken there.
+            let known = sync::read(&self.prepared).get(&pkey).cloned();
+            let shared = match known {
+                Some(p) => p,
+                None => {
+                    let prepared =
+                        Arc::new(co_core::prepare(expr, &entry.flat).map_err(|e| e.to_string())?);
+                    let mut map = sync::write(&self.prepared);
+                    // A racing thread may have inserted an equivalent
+                    // Prepared; keep the first so every holder shares one
+                    // allocation.
+                    Arc::clone(map.entry(pkey).or_insert(prepared))
                 }
-                let union = Arc::new(
-                    co_core::PreparedUnion::from_disjuncts(disjuncts)
-                        .map_err(|e| e.to_string())?,
-                );
-                let mut map = sync::write(&self.prepared_unions);
-                Arc::clone(map.entry(ukey).or_insert(union))
-            }
-        };
+            };
+            disjuncts.push((dfp, shared));
+        }
+        let ty =
+            co_core::union_type(disjuncts.iter().map(|(_, p)| &p.ty)).map_err(|e| e.to_string())?;
         if let Some(ex) = ex {
             ex.parse_us += parse_us;
             ex.canonicalize_us += canonicalize_us;
             ex.fingerprint_us += fingerprint_us;
             ex.prepare_us += span.elapsed_us();
         }
-        Ok((ufp, shared))
+        Ok(Side { fp, ty, disjuncts })
+    }
+
+    /// Fingerprint of one query under a registered schema (the `coqlc
+    /// fingerprint` / `FINGERPRINT` debugging path).
+    pub fn fingerprint(&self, schema: &str, text: &str) -> Result<Fingerprint, String> {
+        let entry = self.resolve_schema(schema)?;
+        canonical_fingerprint(&entry.coql, text, self.max_parse_depth)
     }
 
     /// Runs the certifier under the request budget inside the same
@@ -778,7 +762,7 @@ impl Engine {
         }
     }
 
-    /// One direction of containment through cache + in-flight coalescing.
+    /// One disjunct pair `p1 ⊑ p2` through cache + in-flight coalescing.
     /// Returns what was produced and whether it was served without
     /// computing.
     ///
@@ -950,210 +934,6 @@ impl Engine {
         my_result
     }
 
-    /// Builds a union certificate under the request budget inside the same
-    /// panic-isolation boundary as the decision kernels.
-    fn certify_union_guarded(
-        &self,
-        left: &co_core::PreparedUnion,
-        right: &co_core::PreparedUnion,
-        analysis: &co_core::UnionAnalysis,
-        budget: &RequestBudget,
-        deadline: Option<Deadline>,
-    ) -> CertAttempt {
-        let outcome = {
-            let _budget_guard = interrupt::install(budget.kernel_budget(deadline));
-            catch_unwind(AssertUnwindSafe(|| {
-                co_core::certify_union_prepared(left, right, analysis)
-            }))
-        };
-        match outcome {
-            Ok(Ok(cert)) => CertAttempt::Made(cert.to_wire()),
-            Ok(Err(co_core::CertifyError::Interrupted)) => CertAttempt::Interrupted,
-            Ok(Err(co_core::CertifyError::Unavailable(m))) => CertAttempt::Unavailable(m),
-            Err(payload) => {
-                self.stats.panics.fetch_add(1, Ordering::Relaxed);
-                CertAttempt::Unavailable(format!(
-                    "union certificate construction panicked: {}",
-                    panic_message(&*payload)
-                ))
-            }
-        }
-    }
-
-    /// Re-checks a memoized union certificate against the live disjunct
-    /// trees (the same trust boundary as [`Engine::certified_hit`]).
-    fn union_cert_verifies(
-        left: &co_core::PreparedUnion,
-        right: &co_core::PreparedUnion,
-        holds: bool,
-        wire: &str,
-    ) -> bool {
-        let ltrees: Vec<_> = left.disjuncts.iter().map(|p| &p.tree).collect();
-        let rtrees: Vec<_> = right.disjuncts.iter().map(|p| &p.tree).collect();
-        let expect =
-            |j: usize, i: usize| co_core::cert_path(co_core::expected_union_path(left, right, j, i));
-        co_cert::UnionCert::parse(wire)
-            .and_then(|cert| cert.check_against(&ltrees, &rtrees, holds, &expect))
-            .is_ok()
-    }
-
-    /// One direction of *union* containment through the union memo.
-    ///
-    /// The whole Sagiv–Yannakakis loop (and, when asked, the union
-    /// certifier) runs as one kernel call under one budget installation
-    /// and one panic boundary — cooperative budgets are sliced across
-    /// disjuncts inside `co_core`, and the per-disjunct parallel fan-out
-    /// happens there too. Memoized under the pair of order-invariant
-    /// union fingerprints; timeouts are never memoized. With `want_cert`,
-    /// a memoized certificate is independently re-checked against the
-    /// live trees before being served (reject-and-recompute on mismatch),
-    /// and a certificate-less hit gets one built under this request's
-    /// budget.
-    fn union_contained(
-        &self,
-        key: CacheKey,
-        left: &co_core::PreparedUnion,
-        right: &co_core::PreparedUnion,
-        budget: &RequestBudget,
-        deadline: Option<Deadline>,
-        want_cert: bool,
-        mut ex: Option<&mut Explain>,
-    ) -> Result<(UnionComputed, bool), String> {
-        let cache_span = Span::start();
-        let hit = sync::lock(&self.unions).get(&key).cloned();
-        if let Some(hit) = hit {
-            let served: Option<Result<(UnionComputed, bool), String>> = if !want_cert {
-                Some(Ok((UnionComputed::Done(hit), true)))
-            } else {
-                match &hit.cert {
-                    Some(wire) => {
-                        if Self::union_cert_verifies(left, right, hit.analysis.holds, wire) {
-                            Some(Ok((UnionComputed::Done(hit), true)))
-                        } else {
-                            self.stats.cert_rejected.fetch_add(1, Ordering::Relaxed);
-                            sync::lock(&self.unions).remove(&key);
-                            None
-                        }
-                    }
-                    None => {
-                        match self.certify_union_guarded(left, right, &hit.analysis, budget, deadline)
-                        {
-                            CertAttempt::Made(wire) => {
-                                let entry = UnionEntry {
-                                    analysis: hit.analysis,
-                                    cert: Some(wire),
-                                };
-                                self.union_memo_insert(key, entry.clone());
-                                Some(Ok((UnionComputed::Done(entry), true)))
-                            }
-                            CertAttempt::Interrupted => {
-                                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                                Some(Ok((UnionComputed::TimedOut, true)))
-                            }
-                            CertAttempt::Unavailable(m) => {
-                                Some(Err(format!("CERTUNAVAILABLE {m}")))
-                            }
-                            CertAttempt::Skipped => Some(Ok((UnionComputed::Done(hit), true))),
-                        }
-                    }
-                }
-            };
-            if let Some(result) = served {
-                self.stats.union_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(ex) = ex {
-                    ex.cache_us += cache_span.elapsed_us();
-                }
-                return result;
-            }
-            // A poisoned union certificate was rejected: recompute.
-        }
-        if let Some(ex) = ex.as_deref_mut() {
-            ex.cache_us += cache_span.elapsed_us();
-        }
-
-        self.stats.in_flight.fetch_add(1, Ordering::Relaxed);
-        let steps_before = kernel::snapshot();
-        let _ = par::take_engaged();
-        let kernel_span = Span::start();
-        let outcome = {
-            let _budget_guard = interrupt::install(budget.kernel_budget(deadline));
-            catch_unwind(AssertUnwindSafe(|| {
-                faults::kernel_entry();
-                let analysis = co_core::union_contained_prepared(left, right)?;
-                let cert = if want_cert {
-                    match co_core::certify_union_prepared(left, right, &analysis) {
-                        Ok(cert) => CertAttempt::Made(cert.to_wire()),
-                        Err(co_core::CertifyError::Interrupted) => CertAttempt::Interrupted,
-                        Err(co_core::CertifyError::Unavailable(m)) => CertAttempt::Unavailable(m),
-                    }
-                } else {
-                    CertAttempt::Skipped
-                };
-                Ok::<_, CoreError>((analysis, cert))
-            }))
-        };
-        let elapsed = kernel_span.elapsed();
-        let engaged = par::take_engaged().max(1);
-        let steps = kernel::snapshot().delta(&steps_before);
-        kernel::publish(&steps);
-        if let Some(ex) = ex.as_deref_mut() {
-            ex.kernel_us +=
-                (elapsed.as_nanos().saturating_add(500) / 1_000).min(u64::MAX as u128) as u64;
-            ex.kernel_steps.merge(&steps);
-            ex.threads_used = ex.threads_used.max(engaged);
-        }
-        self.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-
-        match outcome {
-            Ok(Ok((analysis, cert_attempt))) => {
-                let cert = match &cert_attempt {
-                    CertAttempt::Made(wire) => Some(wire.clone()),
-                    _ => None,
-                };
-                let entry = UnionEntry { analysis, cert };
-                self.union_memo_insert(key, entry.clone());
-                self.stats.computed.fetch_add(1, Ordering::Relaxed);
-                match cert_attempt {
-                    CertAttempt::Interrupted => {
-                        self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                        Ok((UnionComputed::TimedOut, false))
-                    }
-                    CertAttempt::Unavailable(m) => Err(format!("CERTUNAVAILABLE {m}")),
-                    CertAttempt::Made(_) | CertAttempt::Skipped => {
-                        Ok((UnionComputed::Done(entry), false))
-                    }
-                }
-            }
-            Ok(Err(CoreError::Interrupted)) => {
-                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                Ok((UnionComputed::TimedOut, false))
-            }
-            Ok(Err(e)) => Err(e.to_string()),
-            Err(payload) => {
-                self.stats.panics.fetch_add(1, Ordering::Relaxed);
-                Err(format!("internal error: union decision panicked: {}", panic_message(&*payload)))
-            }
-        }
-    }
-
-    /// Inserts into the union memo under its size cap, evicting an
-    /// arbitrary resident entry when full (union traffic is light enough
-    /// that a flat map beats per-shard LRU bookkeeping here).
-    fn union_memo_insert(&self, key: CacheKey, entry: UnionEntry) {
-        let mut unions = sync::lock(&self.unions);
-        if unions.len() >= UNION_MEMO_CAP && !unions.contains_key(&key) {
-            if let Some(victim) = unions.keys().next().copied() {
-                unions.remove(&victim);
-            }
-        }
-        unions.insert(key, entry);
-    }
-
-    /// Number of memoized union verdicts (the `unions.entries` gauge).
-    pub fn union_memo_len(&self) -> usize {
-        sync::lock(&self.unions).len()
-    }
-
     /// Blocks on another request's in-flight computation of the same key.
     /// A waiter with its own deadline stops waiting when it expires — a
     /// short-budget request is never held hostage by a long-running leader.
@@ -1182,9 +962,55 @@ impl Engine {
         }
     }
 
+    /// One direction `∪left ⊑ ∪right` as a Sagiv–Yannakakis walk over
+    /// disjunct pairs, each decided in sequence through [`Engine::contained`]
+    /// — so every pair verdict is memoized, coalesced, budgeted, certified
+    /// (under `CERT`) and snapshotted exactly like a `CHECK`. A scalar
+    /// request is the 1×1 walk. Returns `None` when a pair ran out of
+    /// budget; pairs decided before that stay memoized.
+    fn walk(
+        &self,
+        schema: Fingerprint,
+        left: &Side,
+        right: &Side,
+        request: &Request,
+        deadline: Option<Deadline>,
+        mut ex: Option<&mut Explain>,
+    ) -> Result<Option<Walk>, String> {
+        co_core::union_type([&left.ty, &right.ty]).map_err(|e| e.to_string())?;
+        let width = right.disjuncts.len();
+        let mut pairs = vec![None; left.disjuncts.len() * width];
+        let mut cached = true;
+        // The error side is `None` for a timeout, `Some` for a failure.
+        let walked = co_core::sagiv_yannakakis(left.disjuncts.len(), |j, decided| {
+            let (fp1, p1) = &left.disjuncts[j];
+            co_core::first_witness(width, decided, |i| {
+                let (fp2, p2) = &right.disjuncts[i];
+                let key = CacheKey { q1: *fp1, q2: *fp2, schema };
+                let budget = &request.budget;
+                match self.contained(key, p1, p2, budget, deadline, request.cert, ex.as_deref_mut())
+                {
+                    Ok((Computed::Done(entry), hit)) => {
+                        cached &= hit;
+                        let holds = entry.analysis.holds;
+                        pairs[j * width + i] = Some(entry);
+                        Ok(holds)
+                    }
+                    Ok((Computed::TimedOut, _)) => Err(None),
+                    Err(e) => Err(Some(e)),
+                }
+            })
+        });
+        match walked {
+            Ok(analysis) => Ok(Some(Walk { analysis, pairs, width, cached })),
+            Err(None) => Ok(None),
+            Err(Some(e)) => Err(e),
+        }
+    }
+
     /// Answers one request. The request's budget clock starts here, so the
-    /// deadline covers preparation and (for `EQUIV`) both containment
-    /// directions; the step budget applies per direction.
+    /// deadline covers preparation and every pair decision of every
+    /// direction; the step budget applies per pair decision.
     pub fn decide(&self, request: &Request) -> Result<Decision, String> {
         self.decide_inner(request, None)
     }
@@ -1209,147 +1035,101 @@ impl Engine {
         self.stats.decisions.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
         let deadline = request.budget.start();
-        let timed_out = |fp1, fp2| Ok(Decision::TimedOut { fp1, fp2, elapsed: start.elapsed() });
         let schema_span = Span::start();
         let entry = self.resolve_schema(&request.schema)?;
         if let Some(ex) = ex.as_deref_mut() {
             ex.prepare_us += schema_span.elapsed_us();
         }
-        let want_cert = request.cert;
-        if matches!(request.op, Op::UCheck | Op::UEquiv) {
-            let (ufp1, u1) = self.analyze_union(&entry, &request.q1, ex.as_deref_mut())?;
-            let (ufp2, u2) = self.analyze_union(&entry, &request.q2, ex.as_deref_mut())?;
-            let fwd_key = CacheKey { q1: ufp1, q2: ufp2, schema: entry.fp };
+        let union = matches!(request.op, Op::UCheck | Op::UEquiv);
+        let left = self.analyze(&entry, &request.q1, union, ex.as_deref_mut())?;
+        let right = self.analyze(&entry, &request.q2, union, ex.as_deref_mut())?;
+        if union {
             self.stats.union_decisions.fetch_add(1, Ordering::Relaxed);
-            match request.op {
-                Op::UCheck => {
-                    return match self.union_contained(
-                        fwd_key,
-                        &u1,
-                        &u2,
-                        &request.budget,
-                        deadline,
-                        want_cert,
-                        ex,
-                    )? {
-                        (UnionComputed::Done(entry), cached) => Ok(Decision::Union {
-                            analysis: entry.analysis,
-                            cached,
-                            fp1: ufp1,
-                            fp2: ufp2,
-                            disjuncts: (u1.disjuncts.len(), u2.disjuncts.len()),
-                            cert: if want_cert { entry.cert } else { None },
-                        }),
-                        (UnionComputed::TimedOut, _) => timed_out(ufp1, ufp2),
-                    };
-                }
-                Op::UEquiv => {
-                    let bwd_key = CacheKey { q1: ufp2, q2: ufp1, schema: entry.fp };
-                    let (fwd_entry, c1) = match self.union_contained(
-                        fwd_key,
-                        &u1,
-                        &u2,
-                        &request.budget,
-                        deadline,
-                        want_cert,
-                        ex.as_deref_mut(),
-                    )? {
-                        (UnionComputed::Done(e), cached) => (e, cached),
-                        (UnionComputed::TimedOut, _) => return timed_out(ufp1, ufp2),
-                    };
-                    let (bwd_entry, c2) = match self.union_contained(
-                        bwd_key,
-                        &u2,
-                        &u1,
-                        &request.budget,
-                        deadline,
-                        want_cert,
-                        ex,
-                    )? {
-                        (UnionComputed::Done(e), cached) => (e, cached),
-                        (UnionComputed::TimedOut, _) => return timed_out(ufp1, ufp2),
-                    };
-                    return Ok(Decision::UnionEquivalence {
-                        forward: fwd_entry.analysis.holds,
-                        backward: bwd_entry.analysis.holds,
-                        cached: c1 && c2,
-                        fp1: ufp1,
-                        fp2: ufp2,
-                        cert_forward: if want_cert { fwd_entry.cert } else { None },
-                        cert_backward: if want_cert { bwd_entry.cert } else { None },
-                    });
-                }
-                Op::Check | Op::Equiv => unreachable!("guarded by the matches! above"),
-            }
         }
-        let (fp1, p1) = self.analyze(&entry, &request.q1, ex.as_deref_mut())?;
-        let (fp2, p2) = self.analyze(&entry, &request.q2, ex.as_deref_mut())?;
-        let fwd_key = CacheKey { q1: fp1, q2: fp2, schema: entry.fp };
-        match request.op {
+        let (fp1, fp2) = (left.fp, right.fp);
+        let timed_out = || Ok(Decision::TimedOut { fp1, fp2, elapsed: start.elapsed() });
+        let want_cert = request.cert;
+        let Some(mut fwd) =
+            self.walk(entry.fp, &left, &right, request, deadline, ex.as_deref_mut())?
+        else {
+            return timed_out();
+        };
+        let mut bwd = match request.op {
             Op::Check => {
-                match self.contained(fwd_key, &p1, &p2, &request.budget, deadline, want_cert, ex)? {
-                    (Computed::Done(entry), cached) => Ok(Decision::Containment {
-                        analysis: entry.analysis,
-                        cached,
-                        fp1,
-                        fp2,
-                        cert: if want_cert { entry.cert } else { None },
-                    }),
-                    (Computed::TimedOut, _) => timed_out(fp1, fp2),
-                }
-            }
-            Op::Equiv => {
-                let bwd_key = CacheKey { q1: fp2, q2: fp1, schema: entry.fp };
-                let (fwd_entry, c1) = match self.contained(
-                    fwd_key,
-                    &p1,
-                    &p2,
-                    &request.budget,
-                    deadline,
-                    want_cert,
-                    ex.as_deref_mut(),
-                )? {
-                    (Computed::Done(e), cached) => (e, cached),
-                    (Computed::TimedOut, _) => return timed_out(fp1, fp2),
-                };
-                let (bwd_entry, c2) = match self.contained(
-                    bwd_key,
-                    &p2,
-                    &p1,
-                    &request.budget,
-                    deadline,
-                    want_cert,
-                    ex,
-                )? {
-                    (Computed::Done(e), cached) => (e, cached),
-                    (Computed::TimedOut, _) => return timed_out(fp1, fp2),
-                };
-                let (fwd, bwd) = (fwd_entry.analysis, bwd_entry.analysis);
-                let verdict = if !(fwd.holds && bwd.holds) {
-                    Equivalence::NotEquivalent
-                } else {
-                    let no_empty = p1.empty_status == EmptySetStatus::Free
-                        && p2.empty_status == EmptySetStatus::Free;
-                    let flat = p1.ty.is_flat_relation() && p2.ty.is_flat_relation();
-                    if no_empty || flat {
-                        Equivalence::Equivalent
-                    } else {
-                        Equivalence::WeaklyEquivalentOnly
-                    }
-                };
-                Ok(Decision::Equivalence {
-                    forward: fwd.holds,
-                    backward: bwd.holds,
-                    verdict,
-                    cached: c1 && c2,
+                let pair = fwd.scalar();
+                return Ok(Decision::Containment {
+                    analysis: pair.analysis,
+                    cached: fwd.cached,
                     fp1,
                     fp2,
-                    cert_forward: if want_cert { fwd_entry.cert } else { None },
-                    cert_backward: if want_cert { bwd_entry.cert } else { None },
-                })
+                    cert: pair.cert.filter(|_| want_cert),
+                });
             }
-            Op::UCheck | Op::UEquiv => unreachable!("handled above"),
+            Op::UCheck => {
+                if fwd.cached {
+                    self.stats.union_hits.fetch_add(1, Ordering::Relaxed);
+                }
+                let cert = if want_cert { Some(fwd.union_cert()?) } else { None };
+                return Ok(Decision::Union {
+                    disjuncts: (left.disjuncts.len(), right.disjuncts.len()),
+                    analysis: fwd.analysis,
+                    cached: fwd.cached,
+                    fp1,
+                    fp2,
+                    cert,
+                });
+            }
+            Op::Equiv | Op::UEquiv => {
+                match self.walk(entry.fp, &right, &left, request, deadline, ex)? {
+                    Some(bwd) => bwd,
+                    None => return timed_out(),
+                }
+            }
+        };
+        let cached = fwd.cached && bwd.cached;
+        if union {
+            if cached {
+                self.stats.union_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            let (cert_forward, cert_backward) = if want_cert {
+                (Some(fwd.union_cert()?), Some(bwd.union_cert()?))
+            } else {
+                (None, None)
+            };
+            return Ok(Decision::UnionEquivalence {
+                forward: fwd.analysis.holds,
+                backward: bwd.analysis.holds,
+                cached,
+                fp1,
+                fp2,
+                cert_forward,
+                cert_backward,
+            });
         }
+        let (fwd, bwd) = (fwd.scalar(), bwd.scalar());
+        let verdict = if !(fwd.analysis.holds && bwd.analysis.holds) {
+            Equivalence::NotEquivalent
+        } else {
+            let (p1, p2) = (&left.disjuncts[0].1, &right.disjuncts[0].1);
+            let no_empty =
+                p1.empty_status == EmptySetStatus::Free && p2.empty_status == EmptySetStatus::Free;
+            let flat = p1.ty.is_flat_relation() && p2.ty.is_flat_relation();
+            if no_empty || flat {
+                Equivalence::Equivalent
+            } else {
+                Equivalence::WeaklyEquivalentOnly
+            }
+        };
+        Ok(Decision::Equivalence {
+            forward: fwd.analysis.holds,
+            backward: bwd.analysis.holds,
+            verdict,
+            cached,
+            fp1,
+            fp2,
+            cert_forward: fwd.cert.filter(|_| want_cert),
+            cert_backward: bwd.cert.filter(|_| want_cert),
+        })
     }
 
     /// Answers a batch by fanning the requests across the engine's worker
@@ -1560,7 +1340,7 @@ mod tests {
     }
 
     #[test]
-    fn union_requests_memoize_under_the_order_invariant_fingerprint() {
+    fn union_requests_memoize_their_pair_verdicts() {
         let e = engine();
         let u1 = "select x.B from x in R where x.A = 1 or select x.B from x in R where x.A = 2";
         let u2 = "select y.B from y in R";
@@ -1572,18 +1352,21 @@ mod tests {
         assert_eq!(disjuncts, (2, 1));
         assert!(!cached);
         assert_eq!(analysis.witnesses, vec![0, 0]);
-        // Permuted + α-renamed disjuncts share the union fingerprint and
-        // hit the memo (the verdict is order-invariant; witness indices
-        // refer to the order the entry was computed under).
+        // Two pair verdicts, in the one scalar memo.
+        assert_eq!(analysis.pairs_decided, 2);
+        assert_eq!(e.cache_stats().entries, 2);
+        // Permuted + α-renamed disjuncts decide the same pairs, all
+        // memoized; the union fingerprint is order-invariant too.
         let flipped =
             "select z.B from z in R where z.A = 2 or select w.B from w in R where 1 = w.A";
         let r2 = Request::new(Op::UCheck, "s", flipped, u2);
         let Decision::Union { analysis: a2, cached: c2, .. } = e.decide(&r2).unwrap() else {
             panic!("expected union decision");
         };
-        assert!(c2, "order-invariant fingerprints must share one memo entry");
+        assert!(c2, "a union whose pairs are all memoized is a cache hit");
         assert_eq!(analysis.holds, a2.holds);
-        assert_eq!(e.union_memo_len(), 1);
+        assert_eq!(e.cache_stats().entries, 2);
+        assert_eq!(e.stats().computed.load(Ordering::Relaxed), 2);
         assert_eq!(e.stats().union_hits.load(Ordering::Relaxed), 1);
         assert_eq!(e.stats().union_decisions.load(Ordering::Relaxed), 2);
     }
@@ -1605,7 +1388,7 @@ mod tests {
     }
 
     #[test]
-    fn singleton_unions_never_collide_with_scalar_cache_keys() {
+    fn singleton_unions_share_the_scalar_pair_verdict() {
         let e = engine();
         let q = "select x.B from x in R where x.A = 1";
         let Decision::Containment { cached, .. } =
@@ -1614,14 +1397,18 @@ mod tests {
             panic!("expected containment decision");
         };
         assert!(!cached);
-        // The same pair as a 1-disjunct union computes fresh: the UCQ1 tag
-        // keeps union verdicts out of the scalar memo space and vice versa.
+        // The same pair as a 1-disjunct union is the 1×1 walk over the
+        // memoized pair: a hit with the same verdict. Only the reply's
+        // union fingerprint differs from the scalar one.
         let r = Request::new(Op::UCheck, "s", q, "select y.B from y in R");
-        let Decision::Union { analysis, cached, .. } = e.decide(&r).unwrap() else {
+        let Decision::Union { analysis, cached, fp1, .. } = e.decide(&r).unwrap() else {
             panic!("expected union decision");
         };
         assert!(analysis.holds);
-        assert!(!cached, "union memo must not alias the scalar cache");
+        assert!(cached, "a 1-disjunct union reuses the scalar pair verdict");
+        assert_eq!(analysis.witnesses, vec![0]);
+        assert_ne!(fp1, e.fingerprint("s", q).unwrap());
+        assert_eq!(e.stats().computed.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -1667,18 +1454,58 @@ mod tests {
         assert_eq!(e.stats().cert_rejected.load(Ordering::Relaxed), 0);
     }
 
+    /// Trees of a union's disjuncts in the given source order, prepared
+    /// independently of the engine.
+    fn trees(union: &str) -> co_core::PreparedUnion {
+        let schema = Schema::with_relations(&[("R", &["A", "B"]), ("S", &["C"])]);
+        let exprs = co_lang::parse_union_coql(union).unwrap();
+        co_core::prepare_union(&exprs, &schema).unwrap()
+    }
+
+    /// Checks a `COUNION1` block against unions prepared in the request's
+    /// own disjunct order.
+    fn check_union_cert(wire: &str, left: &str, right: &str, holds: bool) {
+        let (l, r) = (trees(left), trees(right));
+        let ltrees: Vec<_> = l.disjuncts.iter().map(|p| &p.tree).collect();
+        let rtrees: Vec<_> = r.disjuncts.iter().map(|p| &p.tree).collect();
+        let expect =
+            |j: usize, i: usize| co_core::cert_path(co_core::expected_union_path(&l, &r, j, i));
+        co_cert::UnionCert::parse(wire)
+            .and_then(|cert| cert.check_against(&ltrees, &rtrees, holds, &expect))
+            .unwrap_or_else(|e| panic!("{left} ⊑ {right}: {e}"));
+    }
+
     #[test]
-    fn union_memo_respects_its_cap() {
+    fn permuted_union_certificates_follow_the_request_order() {
         let e = engine();
-        for i in 0..8 {
-            let u1 = format!(
-                "select x.B from x in R where x.A = {i} or select x.B from x in R where x.A = {}",
-                i + 100
-            );
-            let r = Request::new(Op::UCheck, "s", &u1, "select y.B from y in R");
-            assert!(e.decide(&r).is_ok());
+        let a = "select x.B from x in R where x.A = 1";
+        let b = "select x.B from x in R where x.B = 2";
+        let wide = "select y.B from y in R where y.A = 1 or select y.B from y in R where y.B = 2 \
+                    or select y.B from y in R where y.A = 3";
+        let mut expect_cached = false;
+        for (left, witnesses) in [(format!("{a} or {b}"), [0, 1]), (format!("{b} or {a}"), [1, 0])]
+        {
+            let r = Request::new(Op::UCheck, "s", &left, wide).with_cert(true);
+            let Decision::Union { analysis, cached, cert, .. } = e.decide(&r).unwrap() else {
+                panic!("expected union decision");
+            };
+            assert_eq!(cached, expect_cached, "{left}");
+            assert_eq!(analysis.witnesses, witnesses, "witnesses index this request's disjuncts");
+            check_union_cert(&cert.unwrap(), &left, wide, true);
+            expect_cached = true;
         }
-        assert!(e.union_memo_len() <= UNION_MEMO_CAP);
-        assert_eq!(e.union_memo_len(), 8);
+        // A fresh right side: computed, refuted, and still in order.
+        let narrow = "select y.B from y in R where y.A = 1";
+        for left in [format!("{b} or {a}"), format!("{a} or {b}")] {
+            let r = Request::new(Op::UCheck, "s", &left, narrow).with_cert(true);
+            let Decision::Union { analysis, cert, .. } = e.decide(&r).unwrap() else {
+                panic!("expected union decision");
+            };
+            assert!(!analysis.holds);
+            let expected = if left.starts_with(b) { 0 } else { 1 };
+            assert_eq!(analysis.refuted, Some(expected), "{left}");
+            check_union_cert(&cert.unwrap(), &left, narrow, false);
+        }
+        assert_eq!(e.stats().cert_rejected.load(Ordering::Relaxed), 0);
     }
 }

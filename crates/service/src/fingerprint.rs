@@ -48,6 +48,17 @@ pub fn fingerprint_query(c: &Comprehension) -> Fingerprint {
     fingerprint_bytes(co_lang::canonical_query(c).as_bytes())
 }
 
+/// Renders a parse failure for the wire. Depth-cap rejections get a
+/// `TOODEEP` prefix so the protocol reply (`ERR TOODEEP …`) is machine
+/// distinguishable from a syntax error.
+pub fn parse_error_message(e: &co_lang::ParseError) -> String {
+    if e.is_too_deep() {
+        format!("TOODEEP {e}")
+    } else {
+        e.to_string()
+    }
+}
+
 /// Parses, type-checks, normalizes, and fingerprints one query text — the
 /// exact pipeline [`crate::Engine`] uses to build cache keys, exposed so a
 /// routing tier can compute the same fingerprint without owning an engine
@@ -60,22 +71,18 @@ pub fn canonical_fingerprint(
     text: &str,
     max_depth: usize,
 ) -> Result<Fingerprint, String> {
-    let expr = co_lang::parse_coql_with_depth(text, max_depth).map_err(|e| {
-        if e.is_too_deep() {
-            format!("TOODEEP {e}")
-        } else {
-            e.to_string()
-        }
-    })?;
+    let expr =
+        co_lang::parse_coql_with_depth(text, max_depth).map_err(|e| parse_error_message(&e))?;
     co_lang::type_check(&expr, schema).map_err(|e| e.to_string())?;
     let nf = co_lang::normalize(&expr, schema).map_err(|e| e.to_string())?;
     Ok(fingerprint_query(&nf))
 }
 
 /// Domain-separation tag mixed into every union fingerprint so a
-/// one-disjunct union (`UCHECK` of a plain query) never collides with the
-/// same query's scalar fingerprint — union verdicts and scalar verdicts
-/// live in different memo spaces.
+/// one-disjunct union (`UCHECK` of a plain query) never shares its
+/// fingerprint with the same query's scalar one. Union fingerprints serve
+/// routing and the reply line only: the engine memoizes union verdicts as
+/// the verdicts of their disjunct pairs, under scalar fingerprints.
 const UNION_TAG: &[u8] = b"UCQ1";
 
 /// Order-invariant fingerprint of a union query from its per-disjunct
@@ -103,13 +110,8 @@ pub fn canonical_union_fingerprint(
     text: &str,
     max_depth: usize,
 ) -> Result<Fingerprint, String> {
-    let exprs = co_lang::parse_union_coql_with_depth(text, max_depth).map_err(|e| {
-        if e.is_too_deep() {
-            format!("TOODEEP {e}")
-        } else {
-            e.to_string()
-        }
-    })?;
+    let exprs = co_lang::parse_union_coql_with_depth(text, max_depth)
+        .map_err(|e| parse_error_message(&e))?;
     let mut fps = Vec::with_capacity(exprs.len());
     for expr in &exprs {
         co_lang::type_check(expr, schema).map_err(|e| e.to_string())?;

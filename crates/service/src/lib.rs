@@ -82,7 +82,7 @@ pub use deadline::{Deadline, RequestBudget};
 pub use engine::{Decision, Engine, EngineConfig, Explain, Op, Request, WarmStart};
 pub use fingerprint::{
     canonical_fingerprint, canonical_union_fingerprint, fingerprint_bytes, fingerprint_query,
-    fingerprint_schema, fingerprint_union, Fingerprint, FINGERPRINT_VERSION,
+    fingerprint_schema, fingerprint_union, parse_error_message, Fingerprint, FINGERPRINT_VERSION,
 };
 pub use server::{parse_schema_decl, serve, serve_with_shutdown, ServerConfig, Shutdown};
 pub use snapshot::{

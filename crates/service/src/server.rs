@@ -43,9 +43,10 @@
 //! flat schema: each side is `<base> [; nest <A>,<B> as <G> | ; unnest <G>]*`.
 //!
 //! `CHECK`/`EQUIV` accept budget prefixes: `TIMEOUT <ms>` caps the
-//! request's wall-clock time and `BUDGET <steps>` caps kernel steps
-//! (`0` clears the server default). An expired budget answers
-//! `ERR DEADLINE …` without memoizing anything. An `EXPLAIN` prefix
+//! request's wall-clock time and `BUDGET <steps>` caps the kernel steps
+//! of each disjunct-pair decision (`0` clears the server default). An
+//! expired budget answers `ERR DEADLINE …` without memoizing the verdict
+//! (a union keeps the pair verdicts it finished). An `EXPLAIN` prefix
 //! (combinable with the budget prefixes) answers the usual verdict line
 //! followed by `explain.*` phase timings and kernel step counts,
 //! terminated by `END`.
@@ -1154,7 +1155,6 @@ fn render_stats(ctx: &ServerCtx) -> String {
     put("cache.effective_hit_rate", format!("{effective:.4}"));
     put("unions.decisions", stats.union_decisions.load(Ordering::Relaxed).to_string());
     put("unions.hits", stats.union_hits.load(Ordering::Relaxed).to_string());
-    put("unions.entries", engine.union_memo_len().to_string());
     put("persist.recovered_entries", stats.recovered_entries.load(Ordering::Relaxed).to_string());
     put("persist.snapshots_written", stats.snapshots_written.load(Ordering::Relaxed).to_string());
     put("persist.snapshot_failures", stats.snapshot_failures.load(Ordering::Relaxed).to_string());
@@ -1337,14 +1337,8 @@ fn render_metrics(ctx: &ServerCtx) -> String {
     put_counter(
         out,
         "coqld_union_hits_total",
-        "Union containment directions served from the union memo",
+        "Union requests answered entirely from memoized pair verdicts",
         load(&stats.union_hits),
-    );
-    put_gauge(
-        out,
-        "coqld_union_memo_entries",
-        "Live union-memo entries",
-        engine.union_memo_len() as i64,
     );
 
     put_counter(

@@ -109,10 +109,11 @@ pub struct EngineStats {
     /// `CERT` (entry recomputed). Any nonzero value means a poisoned or
     /// stale certificate was caught before being served.
     pub cert_rejected: AtomicU64,
-    /// Union (`UCHECK`/`UEQUIV`) decisions answered (each direction of a
-    /// `UEQUIV` counts once toward `decisions`, the request once here).
+    /// Union (`UCHECK`/`UEQUIV`) requests decided (each also counts once
+    /// toward `decisions`).
     pub union_decisions: AtomicU64,
-    /// Union containment directions served from the union memo.
+    /// Union requests answered `cached=true`: every disjunct pair they
+    /// examined was already memoized.
     pub union_hits: AtomicU64,
     /// Latency of computed decisions, by decision path
     /// (indexed [`path_index`]).

@@ -10,13 +10,14 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use co_service::{
-    crc32, from_hex, serve_with_shutdown, to_hex, Engine, EngineConfig, ServerConfig, Shutdown,
-    FINGERPRINT_VERSION, FORMAT_VERSION,
+    crc32, from_hex, serve_with_shutdown, to_hex, Decision, Engine, EngineConfig, Op, Request,
+    ServerConfig, Shutdown, FINGERPRINT_VERSION, FORMAT_VERSION,
 };
 
 fn start_server(allow_handoff: bool) -> (SocketAddr, Shutdown, thread::JoinHandle<()>) {
@@ -168,6 +169,47 @@ fn export_import_roundtrip_preloads_every_verdict() {
     stop_b.trigger();
     h_a.join().unwrap();
     h_b.join().unwrap();
+}
+
+#[test]
+fn union_verdicts_ride_the_handoff_payload() {
+    let schema = co_cq::Schema::with_relations(&[("R", &["A", "B"]), ("S", &["C"])]);
+    let engine = || {
+        let e = Engine::new(EngineConfig {
+            cache_shards: 2,
+            cache_per_shard: 64,
+            ..Default::default()
+        });
+        e.register_schema("app", schema.clone());
+        e
+    };
+    let union = |e: &Engine, cert: bool| {
+        let request = Request::new(
+            Op::UCheck,
+            "app",
+            "select x.B from x in R where x.A = 1 or select x.B from x in R where x.B = 2",
+            "select y.B from y in R where y.A = 1 or select y.B from y in R",
+        )
+        .with_cert(cert);
+        match e.decide(&request).expect("decide union") {
+            Decision::Union { analysis, cached, cert, .. } => (analysis.holds, cached, cert),
+            other => panic!("expected union decision, got {other:?}"),
+        }
+    };
+    let donor = engine();
+    let (holds, cached, _) = union(&donor, true);
+    assert!(holds && !cached);
+    let (bytes, count) = donor.export_snapshot_bytes();
+    assert!(count > 0, "the union's pair verdicts are in the payload");
+
+    let joiner = engine();
+    assert_eq!(joiner.import_snapshot_bytes(&bytes), Ok((count, count)));
+    assert_eq!(union(&joiner, false), (holds, true, None), "a handed-off union is a hit");
+    let (joined_holds, cached, cert) = union(&joiner, true);
+    assert_eq!((joined_holds, cached), (holds, true));
+    assert!(cert.is_some());
+    assert_eq!(joiner.stats().computed.load(Ordering::Relaxed), 0);
+    assert_eq!(joiner.stats().cert_rejected.load(Ordering::Relaxed), 0);
 }
 
 #[test]

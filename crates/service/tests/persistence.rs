@@ -214,6 +214,54 @@ fn timed_out_decisions_are_never_snapshotted() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A union whose walk decides a failing pair before its second witness,
+/// so pair verdicts of both polarities persist.
+const UNION_LEFT: &str =
+    "select x.B from x in R where x.A = 1 or select x.B from x in R where x.B = 2";
+const UNION_RIGHT: &str = "select y.B from y in R where y.A = 1 or select y.B from y in R";
+
+fn decide_union(engine: &Engine, cert: bool) -> (bool, bool, Option<String>) {
+    let request = Request::new(Op::UCheck, "s", UNION_LEFT, UNION_RIGHT).with_cert(cert);
+    match engine.decide(&request).expect("decide union") {
+        Decision::Union { analysis, cached, cert, .. } => (analysis.holds, cached, cert),
+        other => panic!("expected union decision, got {other:?}"),
+    }
+}
+
+#[test]
+fn union_verdicts_survive_restart() {
+    let dir = tempdir("unions");
+    let path = dir.join("cache.snap");
+    let engine = small_engine();
+    engine.register_schema("s", schema());
+    let (holds, cached, _) = decide_union(&engine, false);
+    assert!(holds && !cached);
+    engine.snapshot_to(&path).expect("snapshot");
+
+    let warm = small_engine();
+    warm.register_schema("s", schema());
+    assert!(matches!(warm.warm_start(&path), WarmStart::Recovered(n) if n > 0));
+    assert_eq!(decide_union(&warm, false), (holds, true, None), "a warm union is a hit");
+    // A certified repeat builds certificates for the recovered pairs and
+    // rejects none of them.
+    let (warm_holds, cached, cert) = decide_union(&warm, true);
+    assert_eq!((warm_holds, cached), (holds, true));
+    assert!(cert.is_some_and(|c| c.starts_with("COUNION1 verdict=holds")));
+    assert_eq!(warm.stats().computed.load(Ordering::Relaxed), 0);
+    assert_eq!(warm.stats().cert_rejected.load(Ordering::Relaxed), 0);
+
+    // Certificates memoized under CERT survive too, and re-check clean.
+    warm.snapshot_to(&path).expect("snapshot with certificates");
+    let again = small_engine();
+    again.register_schema("s", schema());
+    again.warm_start(&path);
+    let (again_holds, cached, cert) = decide_union(&again, true);
+    assert_eq!((again_holds, cached), (holds, true));
+    assert!(cert.is_some());
+    assert_eq!(again.stats().cert_rejected.load(Ordering::Relaxed), 0);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // TCP restart drill: a real server, drained and rebooted on the same path.
 // ---------------------------------------------------------------------------

@@ -83,8 +83,8 @@ fn ucheck_and_uequiv_decide_unions_over_tcp() {
     assert!(reply.contains("left=2 right=1"), "{reply}");
     assert!(reply.contains("cached=false"), "{reply}");
 
-    // The permuted, α-renamed union shares the order-invariant
-    // fingerprint: answered from the union memo.
+    // The permuted, α-renamed union decides the same disjunct pairs, all
+    // memoized: a cache hit.
     let reply = client.send(
         "UCHECK app select w.B from w in R where w.A = 2 or \
          select z.B from z in R where 1 = z.A ;; select v.B from v in R",
@@ -163,6 +163,58 @@ fn cert_ucheck_attaches_checkable_union_certificates() {
     let (bwd, rest) = co_cert::UnionCert::parse_prefix(rest).expect("backward block");
     assert!(rest.trim().is_empty(), "{rest}");
     assert!(fwd.holds && bwd.holds);
+}
+
+/// Checks a `COUNION1` reply body against unions prepared locally in the
+/// request's own disjunct order.
+fn check_union_block(body: &str, left: &str, right: &str, holds: bool) {
+    let schema = co_cq::Schema::with_relations(&[("R", &["A", "B"]), ("S", &["C"])]);
+    let prepare = |text: &str| {
+        co_core::prepare_union(&co_lang::parse_union_coql(text).unwrap(), &schema).unwrap()
+    };
+    let (l, r) = (prepare(left), prepare(right));
+    let ltrees: Vec<_> = l.disjuncts.iter().map(|p| &p.tree).collect();
+    let rtrees: Vec<_> = r.disjuncts.iter().map(|p| &p.tree).collect();
+    let expect =
+        |j: usize, i: usize| co_core::cert_path(co_core::expected_union_path(&l, &r, j, i));
+    co_cert::UnionCert::parse(body)
+        .and_then(|cert| cert.check_against(&ltrees, &rtrees, holds, &expect))
+        .unwrap_or_else(|e| panic!("`{left}` ⊑ `{right}`: {e}"));
+}
+
+#[test]
+fn permuted_cert_ucheck_blocks_follow_the_request_order() {
+    let addr = start_server();
+    let mut client = Client::connect(addr);
+    assert!(client.send("SCHEMA app R(A, B); S(C)").starts_with("OK"));
+
+    let a = "select x.B from x in R where x.A = 1";
+    let b = "select x.B from x in R where x.B = 2";
+    let three = "select y.B from y in R where y.A = 1 or select y.B from y in R where y.B = 2 \
+                 or select y.B from y in R where y.A = 3";
+    for (left, witnesses, cached) in [
+        (format!("{a} or {b}"), "witnesses=0,1", "cached=false"),
+        (format!("{b} or {a}"), "witnesses=1,0", "cached=true"),
+    ] {
+        let reply = client.send_multi(&format!("CERT UCHECK app {left} ;; {three}"));
+        assert!(reply[0].starts_with("OK holds=true"), "{reply:?}");
+        assert!(reply[0].contains(witnesses), "{left}: {}", reply[0]);
+        assert!(reply[0].contains(cached), "{left}: {}", reply[0]);
+        check_union_block(&reply[1..reply.len() - 1].join("\n"), &left, three, true);
+    }
+
+    // A fresh right side decides cold, in the permuted order first.
+    let one = "select y.B from y in R where y.A = 1";
+    for (left, refuted) in
+        [(format!("{b} or {a}"), "refuted=0"), (format!("{a} or {b}"), "refuted=1")]
+    {
+        let reply = client.send_multi(&format!("CERT UCHECK app {left} ;; {one}"));
+        assert!(reply[0].starts_with("OK holds=false"), "{reply:?}");
+        assert!(reply[0].contains(refuted), "{left}: {}", reply[0]);
+        check_union_block(&reply[1..reply.len() - 1].join("\n"), &left, one, false);
+    }
+    let stats = client.send_multi("STATS");
+    assert!(stats.iter().any(|l| l == "persist.cert_rejected 0"), "{stats:?}");
 }
 
 #[test]

@@ -74,6 +74,10 @@ run env UCQ_DIFFERENTIAL_PAIRS=200 cargo test -q --release --test ucq_differenti
 # permutation, duplication, and α-renaming never change the union
 # fingerprint; a subsumed disjunct never changes the verdict.
 run cargo test -q -p co-service --features slow-tests --test union_properties
+# The load benchmark (loadbench/, its own workspace) compiles against
+# co-core and co-service: build and test it so an API change that breaks
+# it fails here.
+run cargo test --release --manifest-path loadbench/Cargo.toml
 
 echo "==> live METRICS scrape (parseable exposition, monotone counters)"
 ./target/release/coqld --listen 127.0.0.1:0 --kernel-threads 2 >target/coqld-verify.log 2>&1 &
@@ -162,9 +166,10 @@ done
 
 # UCQ drill (DESIGN.md §17): union verbs against the same 2-thread
 # server. A seeded union workload (3 disjuncts per side) goes through
-# UCHECK twice — the second pass must answer entirely from the
-# union-fingerprint memo — then `coqlc cert` proves a UCHECK verdict by
-# re-checking the server's COUNION1 block locally (exit 6 on any lie).
+# UCHECK twice — the second pass must answer from the disjunct-pair
+# verdicts the first pass memoized — then `coqlc cert` proves a UCHECK
+# verdict by re-checking the server's COUNION1 block locally (exit 6 on
+# any lie).
 ./target/release/co-bench workload --total 30 --distinct 6 --union-k 3 --seed 17 \
     >target/ucq-workload.txt
 sed 's/^/UCHECK app /' target/ucq-workload.txt >target/ucq-requests.txt
@@ -198,6 +203,11 @@ printf 'select x.B from x in R where x.A = 1 or select y.B from y in R where y.A
     >target/cert-u-narrow.txt
 printf 'select z.B from z in R where z.A = 2 or select w.B from w in R\n' \
     >target/cert-u-wide.txt
+# The narrow union with its disjuncts permuted: round 3 is answered from
+# the pairs rounds 1-2 memoized, and its block must still prove the
+# verdict in this request's own disjunct order.
+printf 'select y.B from y in R where y.A = 2 or select x.B from x in R where x.A = 1\n' \
+    >target/cert-u-permuted.txt
 for round in 1 2; do
     ./target/release/coqlc cert --addr "$ADDR" \
         target/cert-schema.txt target/cert-u-narrow.txt target/cert-u-wide.txt \
@@ -208,6 +218,10 @@ for round in 1 2; do
         | grep '^OK holds=false' >/dev/null \
         || { echo "CERT UCHECK drill (negative, round $round) failed"; exit 1; }
 done
+./target/release/coqlc cert --addr "$ADDR" \
+    target/cert-schema.txt target/cert-u-permuted.txt target/cert-u-wide.txt \
+    | grep 'certified by local co-cert re-check' >/dev/null \
+    || { echo "CERT UCHECK drill (permuted disjuncts, round 3) failed"; exit 1; }
 
 req METRICS >target/metrics-2.txt
 grep -q '^# EOF$' target/metrics-2.txt || { echo "scrape 2 missing # EOF"; exit 1; }

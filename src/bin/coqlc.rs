@@ -251,25 +251,14 @@ fn parse_atom(text: &str) -> Result<Atom, String> {
 }
 
 fn parse_query(text: &str) -> Result<Expr, String> {
-    parse_coql(strip_comments(text).trim()).map_err(|e| {
-        if e.is_too_deep() {
-            format!("TOODEEP {e}")
-        } else {
-            e.to_string()
-        }
-    })
+    parse_coql(strip_comments(text).trim()).map_err(|e| co_service::parse_error_message(&e))
 }
 
 /// Parses a (possibly union) query text into its disjuncts — a scalar
 /// query is the singleton union.
 fn parse_union_query(text: &str) -> Result<Vec<Expr>, String> {
-    co_lang::parse_union_coql(strip_comments(text).trim()).map_err(|e| {
-        if e.is_too_deep() {
-            format!("TOODEEP {e}")
-        } else {
-            e.to_string()
-        }
-    })
+    co_lang::parse_union_coql(strip_comments(text).trim())
+        .map_err(|e| co_service::parse_error_message(&e))
 }
 
 /// Collapses a query file to a single protocol-line rendering.
