@@ -251,20 +251,16 @@ fn agg_decides_aggregate_containment_over_tcp() {
     let mut client = Client::connect(addr);
 
     // α-renamed count queries are equivalent.
-    let reply = client
-        .send("AGG q(X) :- R(X, Y). | count(Y) ;; q(X) :- R(X, Z). | count(Z)");
+    let reply = client.send("AGG q(X) :- R(X, Y). | count(Y) ;; q(X) :- R(X, Z). | count(Z)");
     assert!(reply.starts_with("OK forward=true backward=true equivalent=true"), "{reply}");
 
     // A restricted body loses backward containment.
-    let reply = client.send(
-        "AGG q(X) :- R(X, Y), S(X). | count(Y) ;; q(X) :- R(X, Y). | count(Y)",
-    );
+    let reply = client.send("AGG q(X) :- R(X, Y), S(X). | count(Y) ;; q(X) :- R(X, Y). | count(Y)");
     assert!(reply.starts_with("OK"), "{reply}");
     assert!(reply.contains("equivalent=false"), "{reply}");
 
     // Different aggregate functions never match.
-    let reply =
-        client.send("AGG q(X) :- R(X, Y). | count(Y) ;; q(X) :- R(X, Y). | sum(Y)");
+    let reply = client.send("AGG q(X) :- R(X, Y). | count(Y) ;; q(X) :- R(X, Y). | sum(Y)");
     assert!(reply.contains("equivalent=false"), "{reply}");
 
     // Malformed requests answer a single ERR line.
@@ -275,7 +271,8 @@ fn agg_decides_aggregate_containment_over_tcp() {
 
     // An oversized body is a structured TOODEEP error, not a worker hog.
     let atoms: Vec<String> = (0..65).map(|i| format!("R(X, Y{i})")).collect();
-    let big = format!("AGG q(X) :- {}. | count(Y0) ;; q(X) :- R(X, Y). | count(Y)", atoms.join(", "));
+    let big =
+        format!("AGG q(X) :- {}. | count(Y0) ;; q(X) :- R(X, Y). | count(Y)", atoms.join(", "));
     let reply = client.send(&big);
     assert!(reply.starts_with("ERR TOODEEP"), "{reply}");
 }
@@ -298,7 +295,9 @@ fn nest_decides_sequence_equivalence_over_tcp() {
     // Unknown schemas and malformed steps answer single ERR lines.
     let reply = client.send("NEST nope R ;; R");
     assert!(reply.starts_with("ERR"), "{reply}");
-    for bad in ["NEST app", "NEST app R ;; ", "NEST app R ; pivot B ;; R", "NEST app R ; nest as G ;; R"] {
+    for bad in
+        ["NEST app", "NEST app R ;; ", "NEST app R ; pivot B ;; R", "NEST app R ; nest as G ;; R"]
+    {
         let reply = client.send(bad);
         assert!(reply.starts_with("ERR"), "`{bad}` → {reply}");
         assert!(!reply.contains('\n'), "`{bad}` reply must be one line");

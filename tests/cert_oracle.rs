@@ -234,8 +234,7 @@ fn certified_union_verdict(
         .unwrap_or_else(|e| panic!("{context}: verdict holds={} but {e}", analysis.holds));
     let ltrees: Vec<_> = l.disjuncts.iter().map(|p| &p.tree).collect();
     let rtrees: Vec<_> = r.disjuncts.iter().map(|p| &p.tree).collect();
-    let expect =
-        |j: usize, i: usize| co_core::cert_path(co_core::expected_union_path(l, r, j, i));
+    let expect = |j: usize, i: usize| co_core::cert_path(co_core::expected_union_path(l, r, j, i));
     cert.check_against(&ltrees, &rtrees, analysis.holds, &expect)
         .unwrap_or_else(|e| panic!("{context}: fresh union certificate rejected: {e}"));
     // As with scalar pairs, clients only ever see the wire form.
@@ -414,9 +413,7 @@ fn run_coqlc_cert(addr: SocketAddr, files: &[PathBuf; 3]) -> std::process::Outpu
 }
 
 fn ucheck_reply(verdict: bool, cert_wire: &str) -> String {
-    format!(
-        "OK holds={verdict} witnesses=1 left=1 right=2 pairs=1 cached=false\n{cert_wire}END\n"
-    )
+    format!("OK holds={verdict} witnesses=1 left=1 right=2 pairs=1 cached=false\n{cert_wire}END\n")
 }
 
 /// `coqlc cert --addr` must re-check every `UnionWitness` locally: a
@@ -479,10 +476,13 @@ fn forged_union_certificates_exit_six_from_coqlc_cert() {
         wrong_index.check_against(&ltrees, &rtrees, true, &expect).is_err(),
         "misdirected witness must not re-check"
     );
-    let out = run_coqlc_cert(lying_server(vec![
-        "OK schema registered\n".to_string(),
-        ucheck_reply(true, &wrong_index.to_wire()),
-    ]), &files);
+    let out = run_coqlc_cert(
+        lying_server(vec![
+            "OK schema registered\n".to_string(),
+            ucheck_reply(true, &wrong_index.to_wire()),
+        ]),
+        &files,
+    );
     assert_eq!(out.status.code(), Some(6), "wrong-disjunct witness must exit 6");
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("certfail"),
@@ -510,10 +510,13 @@ fn forged_union_certificates_exit_six_from_coqlc_cert() {
         satisfied_union.check_against(&ltrees, &rtrees, false, &expect).is_err(),
         "a counterexample the union satisfies must not re-check"
     );
-    let out = run_coqlc_cert(lying_server(vec![
-        "OK schema registered\n".to_string(),
-        ucheck_reply(false, &satisfied_union.to_wire()),
-    ]), &files);
+    let out = run_coqlc_cert(
+        lying_server(vec![
+            "OK schema registered\n".to_string(),
+            ucheck_reply(false, &satisfied_union.to_wire()),
+        ]),
+        &files,
+    );
     assert_eq!(out.status.code(), Some(6), "satisfied-union counterexample must exit 6");
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("certfail"),

@@ -81,8 +81,7 @@ impl Disjunct {
                 format!("{r} = {l}")
             }
         };
-        let outer_cond =
-            self.outer.map(|k| eq(format!("{o}.A"), k.to_string(), rng));
+        let outer_cond = self.outer.map(|k| eq(format!("{o}.A"), k.to_string(), rng));
         match self.class {
             0 => match outer_cond {
                 Some(c) => format!("select {o}.B from {o} in R where {c}"),
@@ -106,10 +105,8 @@ impl Disjunct {
                 if let Some(k) = self.inner {
                     inner_conds.push(eq(format!("{i}.C"), k.to_string(), rng));
                 }
-                let inner = format!(
-                    "(select {i}.C from {i} in S where {})",
-                    inner_conds.join(" and ")
-                );
+                let inner =
+                    format!("(select {i}.C from {i} in S where {})", inner_conds.join(" and "));
                 let head = format!("[a: {o}.A, g: {inner}]");
                 match outer_cond {
                     Some(c) => format!("select {head} from {o} in R where {c}"),
