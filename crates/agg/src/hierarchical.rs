@@ -138,7 +138,7 @@ impl HierarchicalAgg {
                         body: body.clone(),
                         unsatisfiable: false,
                     };
-                    let (renamed, _) = joint.rename_apart(&format!("h{oi}"));
+                    let (renamed, _) = joint.rename_apart();
                     let child = TreeNode {
                         query: IndexedQuery {
                             index: renamed.head[..full_keys.len()].to_vec(),

@@ -254,12 +254,12 @@ pub fn agg_contained_in(q1: &AggQuery, q2: &AggQuery) -> bool {
 /// `Q_rev(ḡ, v̄) :- Q1.body[fresh witness] ∧ Q2.body[group-by unified]`.
 fn reverse_query(q1: &AggQuery, q2: &AggQuery) -> ConjunctiveQuery {
     // A fresh witness copy of q1's body realizing the group key.
-    let (witness, _) = q1.as_cq().rename_apart("aw");
+    let (witness, _) = q1.as_cq().rename_apart();
     let wit_keys: Vec<Term> = witness.head[..q1.group_by.len()].to_vec();
 
     // A fresh copy of q2's body whose group-by terms are unified with the
     // witness's key terms.
-    let (copy2, _) = q2.as_cq().rename_apart("ac");
+    let (copy2, _) = q2.as_cq().rename_apart();
     let keys2: Vec<Term> = copy2.head[..q2.group_by.len()].to_vec();
     let vals2: Vec<Term> = copy2.head[q2.group_by.len()..].to_vec();
 

@@ -175,8 +175,8 @@ pub fn to_coql(alg: &AlgExpr, schema: &CoqlSchema) -> Result<(Expr, Type), Trans
             let (eb, tb) = to_coql(b, schema)?;
             let fa = record_attrs(&ta, "product")?;
             let fb = record_attrs(&tb, "product")?;
-            let x = Var::fresh("px");
-            let y = Var::fresh("py");
+            let x = Var::fresh();
+            let y = Var::fresh();
             let mut fields = Vec::new();
             let mut out_ty = Vec::new();
             for (f, t) in &fa {
@@ -201,7 +201,7 @@ pub fn to_coql(alg: &AlgExpr, schema: &CoqlSchema) -> Result<(Expr, Type), Trans
         }
         AlgExpr::SelectEq(inner, a, b) => {
             let (ei, ti) = to_coql(inner, schema)?;
-            let x = Var::fresh("sx");
+            let x = Var::fresh();
             let e = Expr::Select {
                 head: Box::new(Expr::Var(x)),
                 bindings: vec![(x, ei)],
@@ -214,7 +214,7 @@ pub fn to_coql(alg: &AlgExpr, schema: &CoqlSchema) -> Result<(Expr, Type), Trans
         }
         AlgExpr::SelectConst(inner, a, c) => {
             let (ei, ti) = to_coql(inner, schema)?;
-            let x = Var::fresh("sx");
+            let x = Var::fresh();
             let e = Expr::Select {
                 head: Box::new(Expr::Var(x)),
                 bindings: vec![(x, ei)],
@@ -225,7 +225,7 @@ pub fn to_coql(alg: &AlgExpr, schema: &CoqlSchema) -> Result<(Expr, Type), Trans
         AlgExpr::Project(inner, attrs) => {
             let (ei, ti) = to_coql(inner, schema)?;
             let fields_ty = record_attrs(&ti, "project")?;
-            let x = Var::fresh("jx");
+            let x = Var::fresh();
             let mut fields = Vec::new();
             let mut out_ty = Vec::new();
             for &a in attrs {
@@ -287,8 +287,8 @@ pub fn to_coql(alg: &AlgExpr, schema: &CoqlSchema) -> Result<(Expr, Type), Trans
                     )));
                 }
             }
-            let x = Var::fresh("nx");
-            let y = Var::fresh("ny");
+            let x = Var::fresh();
+            let y = Var::fresh();
             // Inner select: the group members, keyed by the outer row.
             let mut member_fields = Vec::new();
             let mut member_ty = Vec::new();
@@ -339,8 +339,8 @@ pub fn to_coql(alg: &AlgExpr, schema: &CoqlSchema) -> Result<(Expr, Type), Trans
                     )));
                 }
             }
-            let s = Var::fresh("os");
-            let y = Var::fresh("oy");
+            let s = Var::fresh();
+            let y = Var::fresh();
             let mut member_fields = Vec::new();
             let mut member_ty = Vec::new();
             for &a in set_attrs {
@@ -386,8 +386,8 @@ pub fn to_coql(alg: &AlgExpr, schema: &CoqlSchema) -> Result<(Expr, Type), Trans
                 .map(|(_, t)| t.clone())
                 .ok_or_else(|| TranslateError::new(format!("unnest: no attribute `{g}`")))?;
             let inner_fields = record_attrs(&set_ty, "unnest")?;
-            let x = Var::fresh("ux");
-            let y = Var::fresh("uy");
+            let x = Var::fresh();
+            let y = Var::fresh();
             let mut out_fields = Vec::new();
             let mut out_ty = Vec::new();
             for (f, t) in &fields_ty {

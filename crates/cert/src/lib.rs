@@ -213,21 +213,17 @@ fn from_hex(s: &str) -> Option<Vec<u8>> {
     (0..s.len() / 2).map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).ok()).collect()
 }
 
-/// Marker prefix of [`Atom::fresh`] payloads (U+27E8 '⟨').
-const FRESH_MARK: char = '\u{27e8}';
-
 fn atom_token(a: Atom, fresh_ids: &mut HashMap<Atom, usize>) -> String {
+    if a.is_fresh() {
+        let next = fresh_ids.len();
+        let k = *fresh_ids.entry(a).or_insert(next);
+        return format!("@{k}");
+    }
     if let Some(i) = a.as_int() {
         return format!("i{i}");
     }
-    let s = a.as_str().expect("atoms are ints or strings");
-    if s.starts_with(FRESH_MARK) {
-        let next = fresh_ids.len();
-        let k = *fresh_ids.entry(a).or_insert(next);
-        format!("@{k}")
-    } else {
-        format!("s{}", to_hex(s.as_bytes()))
-    }
+    let s = a.as_str().expect("interned atoms are ints or strings");
+    format!("s{}", to_hex(s.as_bytes()))
 }
 
 fn parse_atom_token(tok: &str, fresh: &mut HashMap<u64, Atom>) -> Result<Atom, CertError> {
@@ -240,15 +236,12 @@ fn parse_atom_token(tok: &str, fresh: &mut HashMap<u64, Atom>) -> Result<Atom, C
             from_hex(rest).ok_or_else(|| CertError::Parse(format!("bad hex atom `{tok}`")))?;
         let s = String::from_utf8(bytes)
             .map_err(|_| CertError::Parse(format!("non-utf8 atom `{tok}`")))?;
-        if s.starts_with(FRESH_MARK) {
-            return parse_err(format!("atom payload forges the fresh marker: `{tok}`"));
-        }
         return Ok(Atom::str(&s));
     }
     if let Some(rest) = tok.strip_prefix('@') {
         let k: u64 =
             rest.parse().map_err(|_| CertError::Parse(format!("bad fresh atom `{tok}`")))?;
-        return Ok(*fresh.entry(k).or_insert_with(|| Atom::fresh("cert")));
+        return Ok(*fresh.entry(k).or_insert_with(Atom::fresh));
     }
     parse_err(format!("unknown atom token `{tok}`"))
 }
@@ -951,9 +944,7 @@ fn freeze_subtree(
     for atom in &node.query.body {
         for t in &atom.args {
             if let Term::Var(v) = t {
-                subst
-                    .entry(*v)
-                    .or_insert_with(|| Term::Var(Var::fresh(&format!("c_{}", v.name()))));
+                subst.entry(*v).or_insert_with(|| Term::Var(Var::fresh()));
             }
         }
     }
@@ -966,7 +957,7 @@ fn freeze_subtree(
         };
         Ok(match resolved {
             Term::Const(c) => c,
-            Term::Var(w) => *assignment.entry(w).or_insert_with(|| Atom::fresh(&w.name())),
+            Term::Var(w) => *assignment.entry(w).or_insert_with(Atom::fresh),
         })
     };
     for atom in &node.query.body {
@@ -1221,16 +1212,26 @@ mod tests {
         let garbled = wire.replacen("F ", "Z ", 1);
         assert!(matches!(Cert::parse(&garbled), Err(CertError::Parse(_))));
 
-        // Forged fresh marker inside an s-token.
-        let forged = format!(
-            "COCERT1 counterexample verdict=refuted path=full\nF R s{}\nCOCERTEND\n",
-            to_hex("\u{27e8}forged#0\u{27e9}".as_bytes()),
-        );
-        assert!(matches!(Cert::parse(&forged), Err(CertError::Parse(_))));
-
         // Kind/body mismatch: mapping lines on a canonical cert.
         let bad = "COCERT1 canonical verdict=holds path=full\nM v58 v58\nCOCERTEND\n";
         assert!(matches!(Cert::parse(bad), Err(CertError::Parse(_))));
+    }
+
+    #[test]
+    fn constants_spelling_fresh_atoms_round_trip_as_strings() {
+        // A user constant that looks like a fresh atom's display text is
+        // still an interned string: it travels as `s<hex>`, and only real
+        // fresh atoms become `@k` tokens.
+        let spelled = Atom::str("\u{27e8}a\u{27e9}");
+        let mut fresh_ids = HashMap::new();
+        let token = atom_token(spelled, &mut fresh_ids);
+        assert_eq!(token, format!("s{}", to_hex("\u{27e8}a\u{27e9}".as_bytes())));
+        assert!(fresh_ids.is_empty());
+        assert_eq!(atom_token(Atom::fresh(), &mut fresh_ids), "@0");
+        assert_eq!(atom_token(Atom::str("abc"), &mut fresh_ids), "s616263");
+        let back = parse_atom_token(&token, &mut HashMap::new()).unwrap();
+        assert_eq!(back, spelled);
+        assert!(!back.is_fresh());
     }
 
     #[test]

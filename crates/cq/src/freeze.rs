@@ -66,7 +66,7 @@ pub fn freeze_atoms_with(
             .iter()
             .map(|t| match t {
                 Term::Const(c) => *c,
-                Term::Var(v) => *assignment.entry(*v).or_insert_with(|| Atom::fresh(&v.name())),
+                Term::Var(v) => *assignment.entry(*v).or_insert_with(Atom::fresh),
             })
             .collect();
         db.insert(atom.rel, tuple);

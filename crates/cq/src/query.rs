@@ -234,10 +234,10 @@ impl ConjunctiveQuery {
     /// Renames every body variable to a fresh one (head terms renamed
     /// consistently). Used to build the *witness copies* of the simulation
     /// procedure and for capture-free combination of queries.
-    pub fn rename_apart(&self, tag: &str) -> (ConjunctiveQuery, HashMap<Var, Var>) {
+    pub fn rename_apart(&self) -> (ConjunctiveQuery, HashMap<Var, Var>) {
         let mut map: HashMap<Var, Var> = HashMap::new();
         for v in self.body_vars() {
-            map.insert(v, Var::fresh(&format!("{tag}{}", v.name())));
+            map.insert(v, Var::fresh());
         }
         let subst: HashMap<Var, Term> = map.iter().map(|(&v, &w)| (v, Term::Var(w))).collect();
         let q = ConjunctiveQuery {
@@ -446,7 +446,7 @@ mod tests {
     fn rename_apart_is_capture_free() {
         let q =
             ConjunctiveQuery::plain(vec![v("x")], vec![QueryAtom::new("R", vec![v("x"), v("y")])]);
-        let (r, map) = q.rename_apart("w");
+        let (r, map) = q.rename_apart();
         assert_eq!(map.len(), 2);
         assert!(r.body_vars().is_disjoint(&q.body_vars()));
         assert_eq!(r.body.len(), 1);

@@ -12,24 +12,27 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
+use co_object::atom::{mint_fresh, FRESH_BIT};
 use co_object::Field;
 
+/// Names parsed from text. Fresh names ([`Var::fresh`], [`RelName::fresh`])
+/// are mint counts with [`FRESH_BIT`] set and never enter a table.
 struct NameTable {
-    map: HashMap<String, u32>,
+    map: HashMap<String, u64>,
     items: Vec<String>,
-    fresh: u64,
 }
 
 impl NameTable {
     fn new() -> NameTable {
-        NameTable { map: HashMap::new(), items: Vec::new(), fresh: 0 }
+        NameTable { map: HashMap::new(), items: Vec::new() }
     }
 
-    fn intern(&mut self, s: &str) -> u32 {
+    fn intern(&mut self, s: &str) -> u64 {
         if let Some(&id) = self.map.get(s) {
             return id;
         }
-        let id = u32::try_from(self.items.len()).expect("name table overflow");
+        let id = self.items.len() as u64;
+        assert!(id < FRESH_BIT, "name table overflow");
         self.items.push(s.to_string());
         self.map.insert(s.to_string(), id);
         id
@@ -40,7 +43,7 @@ macro_rules! interned_name {
     ($(#[$doc:meta])* $name:ident, $table:ident) => {
         $(#[$doc])*
         #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-        pub struct $name(u32);
+        pub struct $name(u64);
 
         fn $table() -> &'static RwLock<NameTable> {
             static T: OnceLock<RwLock<NameTable>> = OnceLock::new();
@@ -53,23 +56,34 @@ macro_rules! interned_name {
                 $name($table().write().unwrap().intern(name))
             }
 
-            /// Mints a fresh name no other call has produced, tagged for display.
-            pub fn fresh(tag: &str) -> $name {
-                let mut t = $table().write().unwrap();
-                let n = t.fresh;
-                t.fresh += 1;
-                let id = t.intern(&format!("{tag}\u{2091}{n}"));
-                $name(id)
+            /// Mints a fresh name, distinct from every interned name and
+            /// from every other fresh one. Allocates nothing.
+            pub fn fresh() -> $name {
+                $name(mint_fresh())
             }
 
-            /// The name this handle was interned from.
+            /// Whether this name was minted by `fresh`.
+            pub fn is_fresh(self) -> bool {
+                self.0 & FRESH_BIT != 0
+            }
+
+            /// The name this handle was interned from; a fresh name reads
+            /// `ₑn`, with `n` its mint count.
             pub fn name(self) -> String {
+                if self.is_fresh() {
+                    return format!("\u{2091}{}", self.0 & !FRESH_BIT);
+                }
                 $table().read().unwrap().items[self.0 as usize].clone()
             }
 
-            /// Raw interner id (stable within a process).
-            pub fn id(self) -> u32 {
+            /// Raw handle (stable within a process).
+            pub fn id(self) -> u64 {
                 self.0
+            }
+
+            /// Number of names interned so far. Fresh names never add to it.
+            pub fn interned_count() -> usize {
+                $table().read().unwrap().items.len()
             }
         }
 
@@ -80,9 +94,13 @@ macro_rules! interned_name {
         }
 
         impl Ord for $name {
+            /// Interned names in name order, then fresh names in mint order.
             fn cmp(&self, other: &$name) -> Ordering {
                 if self.0 == other.0 {
                     return Ordering::Equal;
+                }
+                if self.is_fresh() || other.is_fresh() {
+                    return self.0.cmp(&other.0);
                 }
                 let t = $table().read().unwrap();
                 t.items[self.0 as usize].cmp(&t.items[other.0 as usize])
@@ -110,7 +128,8 @@ interned_name!(
 );
 
 interned_name!(
-    /// An interned query variable. Ordered by name for deterministic output.
+    /// An interned query variable. Ordered by name for deterministic output
+    /// (fresh variables after every named one, in mint order).
     Var,
     var_table
 );
@@ -212,8 +231,12 @@ mod tests {
 
     #[test]
     fn fresh_names_are_distinct() {
-        assert_ne!(Var::fresh("w"), Var::fresh("w"));
-        assert_ne!(RelName::fresh("T"), RelName::fresh("T"));
+        let (a, b) = (Var::fresh(), Var::fresh());
+        assert_ne!(a, b);
+        assert!(a < b, "fresh names order by mint order");
+        assert!(Var::new("zzz") < a, "interned names sort first");
+        assert_ne!(Var::new(&a.name()), a, "a fresh name's text is not its identity");
+        assert_ne!(RelName::fresh(), RelName::fresh());
     }
 
     #[test]

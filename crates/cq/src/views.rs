@@ -83,7 +83,7 @@ pub fn unfold(rewriting: &ConjunctiveQuery, views: &[View]) -> Result<Conjunctiv
                         declared: view.definition.head.len(),
                     });
                 }
-                let (copy, _) = view.definition.rename_apart(&format!("u{}", view.name));
+                let (copy, _) = view.definition.rename_apart();
                 // Unify the copy's head with the atom's arguments.
                 for (head_term, arg) in copy.head.iter().zip(atom.args.iter()) {
                     equalities.push((*head_term, *arg));

@@ -113,10 +113,7 @@ fn collect_term(t: &AtomTerm, out: &mut BTreeSet<ColRef>) {
 impl State<'_> {
     /// The column variable for a generator's attribute position.
     fn col(&mut self, gvar: Var, pos: usize) -> Var {
-        *self
-            .col_vars
-            .entry((gvar, pos))
-            .or_insert_with(|| Var::fresh(&format!("k{}_{pos}", gvar.name())))
+        *self.col_vars.entry((gvar, pos)).or_insert_with(Var::fresh)
     }
 
     /// The relation atom of a generator.

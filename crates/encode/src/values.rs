@@ -214,7 +214,7 @@ impl Encoder {
         if let Some(&idx) = self.memo.get(&(path.to_string(), set.clone())) {
             return Ok(idx);
         }
-        let idx = Atom::fresh("i");
+        let idx = Atom::fresh();
         self.memo.insert((path.to_string(), set.clone()), idx);
         let mut aux = Vec::new();
         let cols = columns_of(elem_ty, "", &mut aux)?;

@@ -132,7 +132,7 @@ fn norm(
             let ty = schema
                 .relation(*r)
                 .ok_or_else(|| NormError::new(format!("unknown relation `{r}`")))?;
-            let fresh = Var::fresh(&format!("g_{r}"));
+            let fresh = Var::fresh();
             let head = element_value(fresh, ty)?;
             Ok(NormalValue::Set(Comprehension {
                 gens: vec![(fresh, *r)],

@@ -7,7 +7,13 @@
 //!
 //! Two kinds of payload are supported: symbolic names (strings) and 64-bit
 //! integers. Integers intern to themselves conceptually; they are stored in
-//! the same table so every atom is a uniform `u32` handle.
+//! the same table so every interned atom is a uniform handle.
+//!
+//! Fresh atoms ([`Atom::fresh`]) carry no payload at all: the paper's
+//! indexes (§5.1) and the frozen constants of canonical databases (§4)
+//! only need to be *distinct*, not named. A fresh handle is a mint count
+//! with [`FRESH_BIT`] set, so minting one allocates nothing and the
+//! interner tables only ever hold names parsed from text.
 //!
 //! Field names of records ([`Field`]) are interned separately: they belong
 //! to the schema layer, not to the data domain, and keeping the two handle
@@ -16,7 +22,20 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{self, AtomicU64};
 use std::sync::{OnceLock, RwLock};
+
+/// The handle bit that marks a fresh (minted, never interned) handle. The
+/// remaining bits are the mint count from [`mint_fresh`].
+pub const FRESH_BIT: u64 = 1 << 63;
+
+/// Draws the next count from the process-wide mint counter shared by every
+/// fresh handle type ([`Atom`] here, the variable and relation names of
+/// `co-cq`) and returns it with [`FRESH_BIT`] set.
+pub fn mint_fresh() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, atomic::Ordering::Relaxed) | FRESH_BIT
+}
 
 /// Payload of an interned atom.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -28,23 +47,21 @@ enum AtomData {
 }
 
 struct Interner {
-    map: HashMap<AtomData, u32>,
+    map: HashMap<AtomData, u64>,
     items: Vec<AtomData>,
-    /// Counter used by [`Atom::fresh`] to mint atoms outside any user
-    /// namespace (used for indexes and frozen variables).
-    fresh: u64,
 }
 
 impl Interner {
     fn new() -> Self {
-        Interner { map: HashMap::new(), items: Vec::new(), fresh: 0 }
+        Interner { map: HashMap::new(), items: Vec::new() }
     }
 
-    fn intern(&mut self, data: AtomData) -> u32 {
+    fn intern(&mut self, data: AtomData) -> u64 {
         if let Some(&id) = self.map.get(&data) {
             return id;
         }
-        let id = u32::try_from(self.items.len()).expect("atom interner overflow");
+        let id = self.items.len() as u64;
+        assert!(id < FRESH_BIT, "atom interner overflow");
         self.items.push(data.clone());
         self.map.insert(data, id);
         id
@@ -59,11 +76,12 @@ fn global() -> &'static RwLock<Interner> {
 /// An atomic value from the paper's infinite domain `D`.
 ///
 /// Atoms are cheap to copy, compare, and hash. The total order compares the
-/// interned payloads (integers before strings, each ordered naturally); it
-/// exists only to keep set values in canonical, deterministic form and
-/// carries no semantic meaning — COQL can only test atoms for equality.
+/// interned payloads (integers before strings, each ordered naturally), then
+/// fresh atoms in mint order; it exists only to keep set values in
+/// canonical, deterministic form and carries no semantic meaning — COQL can
+/// only test atoms for equality.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Atom(u32);
+pub struct Atom(u64);
 
 impl PartialOrd for Atom {
     fn partial_cmp(&self, other: &Atom) -> Option<Ordering> {
@@ -75,6 +93,11 @@ impl Ord for Atom {
     fn cmp(&self, other: &Atom) -> Ordering {
         if self.0 == other.0 {
             return Ordering::Equal;
+        }
+        if self.is_fresh() || other.is_fresh() {
+            // Interned handles are below FRESH_BIT, fresh ones above it in
+            // mint order, so the raw handles already order correctly.
+            return self.0.cmp(&other.0);
         }
         let g = global().read().unwrap();
         let a = &g.items[self.0 as usize];
@@ -99,43 +122,60 @@ impl Atom {
         Atom(global().write().unwrap().intern(AtomData::Int(i)))
     }
 
-    /// Mints a globally fresh atom, guaranteed distinct from every atom
-    /// interned so far and from every other fresh atom.
+    /// Mints a globally fresh atom, guaranteed distinct from every interned
+    /// atom and from every other fresh atom. Allocates nothing.
     ///
     /// Fresh atoms are the *indexes* of the paper's §5.1 and the frozen
-    /// constants of canonical databases. The `tag` is only for display.
-    pub fn fresh(tag: &str) -> Atom {
-        let mut g = global().write().unwrap();
-        let n = g.fresh;
-        g.fresh += 1;
-        let id = g.intern(AtomData::Str(format!("\u{27e8}{tag}#{n}\u{27e9}")));
-        Atom(id)
+    /// constants of canonical databases.
+    pub fn fresh() -> Atom {
+        Atom(mint_fresh())
     }
 
-    /// The raw interner id; stable within a process run.
-    pub fn id(self) -> u32 {
+    /// Whether this atom was minted by [`Atom::fresh`] (it then has no
+    /// payload: [`Atom::as_str`] and [`Atom::as_int`] are `None`).
+    pub fn is_fresh(self) -> bool {
+        self.0 & FRESH_BIT != 0
+    }
+
+    /// The raw handle; stable within a process run.
+    pub fn id(self) -> u64 {
         self.0
+    }
+
+    /// Number of payloads interned so far. Fresh atoms never add to it.
+    pub fn interned_count() -> usize {
+        global().read().unwrap().items.len()
     }
 
     /// Returns the string payload, if this atom was interned from a string.
     pub fn as_str(self) -> Option<String> {
-        match &global().read().unwrap().items[self.0 as usize] {
+        self.with_payload(|data| match data {
             AtomData::Str(s) => Some(s.clone()),
             AtomData::Int(_) => None,
-        }
+        })
     }
 
     /// Returns the integer payload, if this atom was interned from an integer.
     pub fn as_int(self) -> Option<i64> {
-        match &global().read().unwrap().items[self.0 as usize] {
+        self.with_payload(|data| match data {
             AtomData::Int(i) => Some(*i),
             AtomData::Str(_) => None,
+        })
+    }
+
+    fn with_payload<T>(self, f: impl FnOnce(&AtomData) -> Option<T>) -> Option<T> {
+        if self.is_fresh() {
+            return None;
         }
+        f(&global().read().unwrap().items[self.0 as usize])
     }
 }
 
 impl fmt::Display for Atom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.is_fresh() {
+            return write!(f, "\u{27e8}#{}\u{27e9}", self.0 & !FRESH_BIT);
+        }
         match &global().read().unwrap().items[self.0 as usize] {
             AtomData::Str(s) => {
                 if is_bare(s) {
@@ -155,7 +195,10 @@ impl fmt::Debug for Atom {
     }
 }
 
-/// Whether a string can be printed without quotes.
+/// Whether a string can be printed without quotes. The `⟨`, `⟩` and `#`
+/// characters stay bare as they were when fresh atoms were interned
+/// strings: canonical query text prints constants through this function,
+/// so changing it would change every fingerprint of such a constant.
 fn is_bare(s: &str) -> bool {
     !s.is_empty()
         && s.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == '\u{27e8}')
@@ -197,7 +240,8 @@ fn field_global() -> &'static RwLock<Interner> {
 impl Field {
     /// Interns a field label.
     pub fn new(name: &str) -> Field {
-        Field(field_global().write().unwrap().intern(AtomData::Str(name.to_string())))
+        let id = field_global().write().unwrap().intern(AtomData::Str(name.to_string()));
+        Field(u32::try_from(id).expect("field interner overflow"))
     }
 
     /// The label this field was interned from.
@@ -240,10 +284,26 @@ mod tests {
 
     #[test]
     fn fresh_atoms_are_distinct() {
-        let a = Atom::fresh("i");
-        let b = Atom::fresh("i");
+        let a = Atom::fresh();
+        let b = Atom::fresh();
         assert_ne!(a, b);
-        assert_ne!(a, Atom::str("i#0"));
+        assert!(a.is_fresh() && b.is_fresh());
+        assert!(a < b, "fresh atoms order by mint order");
+        assert!(Atom::str("zzz") < a && Atom::int(i64::MAX) < a, "interned atoms sort first");
+        assert_eq!((a.as_str(), a.as_int()), (None, None));
+    }
+
+    #[test]
+    fn fresh_atoms_never_collide_with_interned_constants() {
+        // A constant spelling a fresh atom's display text (COQL string
+        // literals can) stays an ordinary interned string.
+        let a = Atom::fresh();
+        let spelled = Atom::str(&a.to_string());
+        assert_ne!(spelled, a);
+        assert!(!spelled.is_fresh());
+        let b = Atom::fresh();
+        assert_ne!(Atom::str(&b.to_string()), b);
+        assert_ne!(Atom::str(&format!("\u{27e8}t#{}\u{27e9}", b.id() & !FRESH_BIT)), b);
     }
 
     #[test]

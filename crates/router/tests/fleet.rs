@@ -181,6 +181,47 @@ fn affinity_verdicts_and_explain() {
     }
 }
 
+/// Regression: each hop wrote a line's text and its `\n` in two writes, so
+/// under Nagle's algorithm every reply waited out a delayed ACK, about
+/// 44 ms per request (4.4 s for this loop).
+#[test]
+fn sequential_cached_checks_through_the_router_do_not_stall() {
+    use co_service::{read_bounded_line, write_line, LineRead};
+    let (shard, shard_stop, shard_handle) = start_shard(false);
+    let (router_addr, router, stop, handle) = start_router(&[shard], test_config());
+    let stream = TcpStream::connect(router_addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut exchange = |line: &str| {
+        write_line(&mut writer, line).unwrap();
+        match read_bounded_line(&mut reader, 1 << 16, None).unwrap() {
+            LineRead::Line(reply) => reply,
+            other => panic!("no reply line: {other:?}"),
+        }
+    };
+    assert!(exchange(SCHEMA).starts_with("OK"));
+    let check = format!("CHECK app {}", pair(1, "x"));
+    assert!(exchange(&check).starts_with("OK holds=true"));
+
+    let start = Instant::now();
+    for _ in 0..100 {
+        let reply = exchange(&check);
+        assert!(reply.starts_with("OK holds=true") && reply.contains("cached=true"), "{reply}");
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "100 cached CHECKs took {elapsed:?}");
+    // Hang up so the router's drain does not wait for this connection.
+    exchange("QUIT");
+
+    stop.trigger();
+    handle.join().unwrap();
+    drop(router); // closes its pooled connection, so the shard drains at once
+    shard_stop.trigger();
+    shard_handle.join().unwrap();
+}
+
 #[test]
 fn ucheck_duplicates_stay_cache_affine() {
     let shards: Vec<_> = (0..3).map(|_| start_shard(false)).collect();

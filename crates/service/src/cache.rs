@@ -1,16 +1,21 @@
-//! A sharded, bounded memo cache for containment verdicts.
+//! A sharded, bounded LRU, and the memo cache of containment verdicts
+//! built on it.
 //!
-//! Keys are `(fp(q1), fp(q2), fp(schema))` canonical-fingerprint triples;
-//! values are [`CacheEntry`]s: a full [`ContainmentAnalysis`] plus,
-//! optionally, the verdict's wire-serialized certificate (kept when the
-//! entry was computed under `CERT`, so later certified requests and
-//! snapshot exports can reuse it). The map is split into
-//! `N` shards, each an independent `RwLock`-protected LRU, so concurrent
-//! readers/writers only contend when their keys land in the same shard.
-//! Everything is `std`-only: the LRU list is an intrusive doubly-linked
-//! list over a slab of nodes, O(1) for get/insert/evict.
+//! [`ShardedLru`] is split into `N` shards, each an independent
+//! `RwLock`-protected LRU, so concurrent readers/writers only contend when
+//! their keys land in the same shard. Everything is `std`-only: the LRU
+//! list is an intrusive doubly-linked list over a slab of nodes, O(1) for
+//! get/insert/evict. The engine keeps two of them: the verdict memo
+//! ([`MemoCache`]) and its prepared-query map.
+//!
+//! The memo's keys are `(fp(q1), fp(q2), fp(schema))` canonical-fingerprint
+//! triples; its values are [`CacheEntry`]s: a full [`ContainmentAnalysis`]
+//! plus, optionally, the verdict's wire-serialized certificate (kept when
+//! the entry was computed under `CERT`, so later certified requests and
+//! snapshot exports can reuse it).
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
@@ -41,42 +46,58 @@ pub struct CacheEntry {
     pub cert: Option<String>,
 }
 
-impl CacheKey {
+/// A key of a [`ShardedLru`]: hashable, cheap to copy, and able to pick
+/// its shard.
+pub trait ShardKey: Copy + Eq + Hash {
     /// A well-mixed 64-bit digest used for shard selection.
+    fn shard_hash(&self) -> u64;
+}
+
+/// splitmix64 finalizer over a folded fingerprint.
+fn mix_u128(x: u128) -> u64 {
+    let folded = (x as u64) ^ ((x >> 64) as u64);
+    let mut z = folded.wrapping_add(0x9e3779b97f4a7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+    z ^ (z >> 31)
+}
+
+impl ShardKey for CacheKey {
     fn shard_hash(&self) -> u64 {
         // The fingerprints are already uniform; fold the three u128s with
         // distinct rotations so (q1, q2) and (q2, q1) land independently.
-        let x = self.q1.0 ^ self.q2.0.rotate_left(41) ^ self.schema.0.rotate_left(83);
-        let folded = (x as u64) ^ ((x >> 64) as u64);
-        // splitmix64 finalizer.
-        let mut z = folded.wrapping_add(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
+        mix_u128(self.q1.0 ^ self.q2.0.rotate_left(41) ^ self.schema.0.rotate_left(83))
+    }
+}
+
+/// `(fp(schema), fp(query))`: the engine's prepared-query key.
+impl ShardKey for (Fingerprint, Fingerprint) {
+    fn shard_hash(&self) -> u64 {
+        mix_u128(self.0 .0.rotate_left(83) ^ self.1 .0)
     }
 }
 
 const NIL: usize = usize::MAX;
 
-struct Node {
-    key: CacheKey,
-    value: CacheEntry,
+struct Node<K, V> {
+    key: K,
+    value: V,
     prev: usize,
     next: usize,
 }
 
 /// One LRU shard: a hash index into a slab threaded as a recency list.
-struct Shard {
-    map: HashMap<CacheKey, usize>,
-    slab: Vec<Node>,
+struct Shard<K, V> {
+    map: HashMap<K, usize>,
+    slab: Vec<Node<K, V>>,
     free: Vec<usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
     capacity: usize,
 }
 
-impl Shard {
-    fn new(capacity: usize) -> Shard {
+impl<K: ShardKey, V: Clone> Shard<K, V> {
+    fn new(capacity: usize) -> Shard<K, V> {
         Shard {
             // The index grows on demand: a preallocated table scatters even
             // a few hundred keys over hundreds of pages, each one resident.
@@ -115,7 +136,7 @@ impl Shard {
         }
     }
 
-    fn get(&mut self, key: &CacheKey) -> Option<CacheEntry> {
+    fn get(&mut self, key: &K) -> Option<V> {
         let idx = *self.map.get(key)?;
         self.unlink(idx);
         self.push_front(idx);
@@ -124,7 +145,7 @@ impl Shard {
 
     /// Inserts (or refreshes) an entry; returns `true` if an old entry was
     /// evicted to make room.
-    fn insert(&mut self, key: CacheKey, value: CacheEntry) -> bool {
+    fn insert(&mut self, key: K, value: V) -> bool {
         if let Some(&idx) = self.map.get(&key) {
             self.slab[idx].value = value;
             self.unlink(idx);
@@ -155,7 +176,7 @@ impl Shard {
     }
 }
 
-/// Counter snapshot of a [`MemoCache`].
+/// Counter snapshot of a [`ShardedLru`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found an entry.
@@ -184,20 +205,23 @@ impl CacheStats {
     }
 }
 
-/// The sharded, bounded verdict cache.
-pub struct MemoCache {
-    shards: Vec<RwLock<Shard>>,
+/// A sharded, bounded LRU map with hit/miss/eviction counters.
+pub struct ShardedLru<K, V> {
+    shards: Vec<RwLock<Shard<K, V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl MemoCache {
+/// The sharded, bounded verdict cache.
+pub type MemoCache = ShardedLru<CacheKey, CacheEntry>;
+
+impl<K: ShardKey, V: Clone> ShardedLru<K, V> {
     /// A cache with `shards` independent LRU shards of `per_shard` entries
     /// each. `shards` is rounded up to a power of two (minimum 1).
-    pub fn new(shards: usize, per_shard: usize) -> MemoCache {
+    pub fn new(shards: usize, per_shard: usize) -> ShardedLru<K, V> {
         let shards = shards.max(1).next_power_of_two();
-        MemoCache {
+        ShardedLru {
             shards: (0..shards).map(|_| RwLock::new(Shard::new(per_shard.max(1)))).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -205,12 +229,12 @@ impl MemoCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &RwLock<Shard> {
+    fn shard(&self, key: &K) -> &RwLock<Shard<K, V>> {
         &self.shards[(key.shard_hash() as usize) & (self.shards.len() - 1)]
     }
 
-    /// Looks up a verdict, refreshing its recency. Counts a hit or a miss.
-    pub fn get(&self, key: &CacheKey) -> Option<CacheEntry> {
+    /// Looks up a value, refreshing its recency. Counts a hit or a miss.
+    pub fn get(&self, key: &K) -> Option<V> {
         // The LRU list moves on every hit, so even lookups take the write
         // lock; sharding keeps the critical section per-key-group.
         let found = crate::sync::write(self.shard(key)).get(key);
@@ -226,12 +250,26 @@ impl MemoCache {
         }
     }
 
-    /// Stores a verdict (refreshing recency if the key is already present).
-    pub fn insert(&self, key: CacheKey, value: CacheEntry) {
+    /// Stores a value (refreshing recency if the key is already present).
+    pub fn insert(&self, key: K, value: V) {
         let evicted = crate::sync::write(self.shard(&key)).insert(key, value);
         if evicted {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Returns the resident value for `key`, storing `value` first when
+    /// there is none, so racing writers all end up sharing the first value
+    /// stored. Counts neither a hit nor a miss (the caller's lookup did).
+    pub fn get_or_insert(&self, key: K, value: V) -> V {
+        let mut shard = crate::sync::write(self.shard(&key));
+        if let Some(resident) = shard.get(&key) {
+            return resident;
+        }
+        if shard.insert(key, value.clone()) {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        value
     }
 
     /// Current counters and occupancy.
@@ -261,11 +299,11 @@ impl MemoCache {
 
     /// Copies every live entry out, shard by shard, least-recently-used
     /// first within each shard — so replaying the list through
-    /// [`MemoCache::preload`] reconstructs approximately the same recency
+    /// [`ShardedLru::preload`] reconstructs approximately the same recency
     /// order. Each shard is locked only while it is being walked; the
     /// export is a consistent view per shard, not across shards (good
     /// enough for a cache, where an entry's absence is always safe).
-    pub fn export(&self) -> Vec<(CacheKey, CacheEntry)> {
+    pub fn export(&self) -> Vec<(K, V)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = crate::sync::read(shard);
@@ -281,7 +319,7 @@ impl MemoCache {
     /// Inserts recovered entries without touching the hit/miss counters
     /// (a warm start is not a workload). Returns how many entries the
     /// cache retained — fewer than offered when they exceed capacity.
-    pub fn preload(&self, entries: Vec<(CacheKey, CacheEntry)>) -> usize {
+    pub fn preload(&self, entries: Vec<(K, V)>) -> usize {
         let offered = entries.len();
         let mut dropped = 0;
         for (key, value) in entries {

@@ -1,7 +1,7 @@
 //! The batch decision engine: fingerprint → memo cache → decide.
 //!
 //! One [`Engine`] owns the registered schemas, the shared [`MemoCache`],
-//! a cache of [`Prepared`] queries (one per *distinct canonical query*,
+//! a bounded LRU of [`Prepared`] queries (one per *distinct canonical query*,
 //! shared across every pair it appears in), and an in-flight table that
 //! coalesces concurrent identical requests so a verdict is computed at
 //! most once no matter how many clients ask simultaneously.
@@ -28,7 +28,7 @@ use co_lang::{CoqlSchema, EmptySetStatus};
 use co_object::{interrupt, par, Type};
 use co_trace::{kernel, Span};
 
-use crate::cache::{CacheEntry, CacheKey, CacheStats, MemoCache};
+use crate::cache::{CacheEntry, CacheKey, CacheStats, MemoCache, ShardedLru};
 use crate::deadline::{Deadline, RequestBudget};
 use crate::faults;
 use crate::fingerprint::{
@@ -425,7 +425,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 pub struct Engine {
     schemas: RwLock<HashMap<String, Arc<SchemaEntry>>>,
     cache: MemoCache,
-    prepared: RwLock<HashMap<(Fingerprint, Fingerprint), Arc<Prepared>>>,
+    /// Prepared queries keyed by `(fp(schema), fp(query))`, bounded like
+    /// the memo: an evicted query is prepared again on its next request.
+    prepared: ShardedLru<(Fingerprint, Fingerprint), Arc<Prepared>>,
     inflight: Mutex<HashMap<CacheKey, Arc<InFlightSlot>>>,
     stats: EngineStats,
     workers: usize,
@@ -456,7 +458,7 @@ impl Engine {
         Engine {
             schemas: RwLock::new(HashMap::new()),
             cache: MemoCache::new(config.cache_shards, config.cache_per_shard),
-            prepared: RwLock::new(HashMap::new()),
+            prepared: ShardedLru::new(config.cache_shards, config.cache_per_shard),
             inflight: Mutex::new(HashMap::new()),
             stats: EngineStats::default(),
             workers: config.workers.max(1),
@@ -650,20 +652,15 @@ impl Engine {
         let mut disjuncts = Vec::with_capacity(exprs.len());
         for (expr, dfp) in exprs.iter().zip(fps) {
             let pkey = (entry.fp, dfp);
-            // Bind the lookup before matching: a guard temporary in the
-            // match scrutinee would live through the `None` arm and
-            // deadlock against the write lock taken there.
-            let known = sync::read(&self.prepared).get(&pkey).cloned();
-            let shared = match known {
+            let shared = match self.prepared.get(&pkey) {
                 Some(p) => p,
                 None => {
                     let prepared =
                         Arc::new(co_core::prepare(expr, &entry.flat).map_err(|e| e.to_string())?);
-                    let mut map = sync::write(&self.prepared);
                     // A racing thread may have inserted an equivalent
                     // Prepared; keep the first so every holder shares one
                     // allocation.
-                    Arc::clone(map.entry(pkey).or_insert(prepared))
+                    self.prepared.get_or_insert(pkey, prepared)
                 }
             };
             disjuncts.push((dfp, shared));
@@ -1202,9 +1199,10 @@ impl Engine {
         &self.stats
     }
 
-    /// Number of distinct prepared queries currently shared.
+    /// Number of distinct prepared queries currently shared (at most the
+    /// memo capacity).
     pub fn prepared_count(&self) -> usize {
-        sync::read(&self.prepared).len()
+        self.prepared.stats().entries
     }
 }
 

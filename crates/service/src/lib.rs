@@ -20,7 +20,9 @@
 //!    [`Engine::decide_batch`];
 //! 4. [`server`] — the `coqld` TCP front end: a line-oriented
 //!    `CHECK`/`EQUIV`/`FINGERPRINT`/`SCHEMA`/`STATS` protocol with
-//!    per-decision-path latency histograms;
+//!    per-decision-path latency histograms, framed by [`wire`] (one write
+//!    per line on `TCP_NODELAY` sockets, shared with the router and
+//!    `coqlc`);
 //! 5. [`snapshot`] — a versioned, checksummed on-disk format for the memo
 //!    cache, published atomically (temp + fsync + rename) by a background
 //!    snapshotter so restarts warm-start instead of recomputing
@@ -76,6 +78,7 @@ pub mod server;
 pub mod snapshot;
 pub mod stats;
 mod sync;
+pub mod wire;
 
 pub use cache::{CacheEntry, CacheKey, CacheStats, MemoCache};
 pub use deadline::{Deadline, RequestBudget};
@@ -90,3 +93,4 @@ pub use snapshot::{
     write_snapshot, LoadOutcome, SnapshotHeader, FORMAT_VERSION,
 };
 pub use stats::{EngineStats, LatencyHistogram, ServerStats};
+pub use wire::{read_bounded_line, write_line, LineRead};

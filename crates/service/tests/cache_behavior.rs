@@ -137,3 +137,44 @@ fn concurrent_hammering_matches_uncached_decisions() {
     assert_eq!(stats.hits + stats.misses, 8 * 40);
     assert!(stats.hits >= (8 * 40 - pool.len()) as u64 / 2, "{stats:?}");
 }
+
+#[test]
+fn prepared_queries_stay_within_the_memo_capacity() {
+    let schema = Schema::with_relations(&[("R", &["A", "B"]), ("S", &["C"])]);
+    let config =
+        EngineConfig { cache_shards: 2, cache_per_shard: 8, workers: 1, ..EngineConfig::default() };
+    let engine = Engine::new(config);
+    engine.register_schema("s", schema.clone());
+    let capacity = engine.cache_stats().capacity;
+
+    // 4× the capacity in distinct pairs, each of two distinct queries, then
+    // the first quarter again: those were evicted and must be re-prepared.
+    let pairs: Vec<(String, String)> = (0..4 * capacity)
+        .map(|i| {
+            let narrow = format!("select x.B from x in R where x.A = {i}");
+            let wide = format!("select y.B from y in R, z in S where y.A = {i}");
+            if i % 2 == 0 {
+                (narrow, wide)
+            } else {
+                (wide, narrow)
+            }
+        })
+        .collect();
+    for (q1, q2) in pairs.iter().chain(&pairs[..capacity]) {
+        let cold = Engine::new(config);
+        cold.register_schema("s", schema.clone());
+        let request = Request::new(Op::Check, "s", q1, q2);
+        let (Decision::Containment { analysis, .. }, Decision::Containment { analysis: want, .. }) =
+            (engine.decide(&request).unwrap(), cold.decide(&request).unwrap())
+        else {
+            panic!("expected containment decisions");
+        };
+        assert_eq!(analysis, want, "{q1} ⊑ {q2}: bounded engine diverged from a cold one");
+        assert!(
+            engine.prepared_count() <= capacity,
+            "{} prepared queries exceed the capacity {capacity}",
+            engine.prepared_count()
+        );
+    }
+    assert_eq!(engine.prepared_count(), capacity, "the prepared map fills up to its bound");
+}

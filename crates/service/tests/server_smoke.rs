@@ -128,3 +128,42 @@ fn concurrent_clients_share_the_cache() {
         .expect("computed in STATS");
     assert_eq!(computed, 1, "all four α-variants share one cache key: {stats:?}");
 }
+
+/// Sends `line` `n` times on one `TCP_NODELAY` connection, one write per
+/// request, and returns the replies.
+fn exchange_repeatedly(addr: std::net::SocketAddr, line: &str, n: usize) -> Vec<String> {
+    use co_service::{read_bounded_line, write_line, LineRead};
+    let stream = TcpStream::connect(addr).expect("connect to coqld");
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    (0..n)
+        .map(|_| {
+            write_line(&mut writer, line).unwrap();
+            match read_bounded_line(&mut reader, 1 << 16, None).unwrap() {
+                LineRead::Line(reply) => reply,
+                other => panic!("no reply line: {other:?}"),
+            }
+        })
+        .collect()
+}
+
+/// Regression: a reply written as its text and then its `\n` waited out the
+/// client's delayed ACK under Nagle's algorithm, about 44 ms per request
+/// (4.4 s for this loop).
+#[test]
+fn sequential_cached_checks_do_not_stall() {
+    let addr = start_server();
+    let check = "CHECK app select x.B from x in R where x.A = 1 ;; select y.B from y in R";
+    assert!(exchange_repeatedly(addr, "SCHEMA app R(A, B)", 1)[0].starts_with("OK"));
+    assert!(exchange_repeatedly(addr, check, 1)[0].starts_with("OK holds=true"));
+
+    let start = std::time::Instant::now();
+    let replies = exchange_repeatedly(addr, check, 100);
+    let elapsed = start.elapsed();
+    for reply in &replies {
+        assert!(reply.starts_with("OK holds=true") && reply.contains("cached=true"), "{reply}");
+    }
+    assert!(elapsed < Duration::from_secs(1), "100 cached CHECKs took {elapsed:?}");
+}

@@ -296,11 +296,11 @@ fn expand_with_witnesses(q: &IndexedQuery, k: usize) -> Expansion {
 
     // Witness copies: rename everything except the index variables.
     let mut witnesses = Vec::with_capacity(k);
-    for i in 0..k {
+    for _ in 0..k {
         let mut subst: HashMap<Var, Term> = HashMap::new();
         for v in q.as_cq().body_vars() {
             if !index_vars.contains(&v) {
-                subst.insert(v, Term::Var(Var::fresh(&format!("w{i}_{}", v.name()))));
+                subst.insert(v, Term::Var(Var::fresh()));
             }
         }
         let copy: Vec<QueryAtom> = q.body.iter().map(|a| a.substitute(&subst)).collect();

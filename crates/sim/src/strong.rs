@@ -168,11 +168,11 @@ fn enumerate_simulation_homs(q: &IndexedQuery, q2: &IndexedQuery, k: usize) -> E
         .collect();
 
     let mut combined_body = q.body.clone();
-    for i in 0..k {
+    for _ in 0..k {
         let mut subst: HashMap<Var, Term> = HashMap::new();
         for v in q.as_cq().body_vars() {
             if !index_vars.contains(&v) {
-                subst.insert(v, Term::Var(Var::fresh(&format!("sw{i}_{}", v.name()))));
+                subst.insert(v, Term::Var(Var::fresh()));
             }
         }
         let copy: Vec<QueryAtom> = q.body.iter().map(|a| a.substitute(&subst)).collect();
@@ -232,7 +232,7 @@ fn build_reverse_query(
         if index_vars2.contains(&v) {
             subst.insert(v, *phi.get(&v).unwrap_or(&Term::Var(v)));
         } else {
-            subst.insert(v, Term::Var(Var::fresh(&format!("rv_{}", v.name()))));
+            subst.insert(v, Term::Var(Var::fresh()));
         }
     }
     let mut body = combined_body.to_vec();
@@ -284,11 +284,11 @@ pub fn refute_strong_simulation(
             let mut assignment: HashMap<Var, Atom> = HashMap::new();
             let mut db = Database::new();
             freeze_atoms_with(&q.body, &mut assignment, &mut db);
-            for i in 1..copies {
+            for _ in 1..copies {
                 let mut subst: HashMap<Var, Term> = HashMap::new();
                 for v in q.as_cq().body_vars() {
                     if !index_vars.contains(&v) {
-                        subst.insert(v, Term::Var(Var::fresh(&format!("rf{i}_{}", v.name()))));
+                        subst.insert(v, Term::Var(Var::fresh()));
                     }
                 }
                 let copy: Vec<QueryAtom> = q.body.iter().map(|a| a.substitute(&subst)).collect();
@@ -298,7 +298,7 @@ pub fn refute_strong_simulation(
                 match q2_copy {
                     Q2Copy::None => {}
                     Q2Copy::Disjoint => {
-                        let (renamed, _) = q2.as_cq().rename_apart("rf2");
+                        let (renamed, _) = q2.as_cq().rename_apart();
                         freeze_atoms_with(&renamed.body, &mut assignment, &mut db);
                     }
                     Q2Copy::SharedIndex => {
@@ -310,9 +310,7 @@ pub fn refute_strong_simulation(
                             }
                         }
                         for v in q2.as_cq().body_vars() {
-                            subst.entry(v).or_insert_with(|| {
-                                Term::Var(Var::fresh(&format!("rs_{}", v.name())))
-                            });
+                            subst.entry(v).or_insert_with(|| Term::Var(Var::fresh()));
                         }
                         let copy: Vec<QueryAtom> =
                             q2.body.iter().map(|a| a.substitute(&subst)).collect();

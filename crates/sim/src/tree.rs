@@ -843,7 +843,7 @@ fn instantiate_body(
         }
     }
     for v in node.query.as_cq().body_vars() {
-        subst.entry(v).or_insert_with(|| Term::Var(Var::fresh(&format!("t_{}", v.name()))));
+        subst.entry(v).or_insert_with(|| Term::Var(Var::fresh()));
     }
     let copy: Vec<QueryAtom> = node.query.body.iter().map(|a| a.substitute(&subst)).collect();
     freeze_atoms_with(&copy, assignment, db);
@@ -896,7 +896,7 @@ fn target_fixing(
 /// exactly simulation (cross-checked in tests).
 pub fn grouped_tree(q: &IndexedQuery) -> QueryTree {
     // Child: a fresh renaming of q whose index variables become formals.
-    let (child_cq, _) = q.as_cq().rename_apart("g");
+    let (child_cq, _) = q.as_cq().rename_apart();
     let child_q = IndexedQuery {
         index: child_cq.head[..q.index.len()].to_vec(),
         value: child_cq.head[q.index.len()..].to_vec(),

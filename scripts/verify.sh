@@ -79,6 +79,22 @@ run cargo test -q -p co-service --features slow-tests --test union_properties
 # it fails here.
 run cargo test --release --manifest-path loadbench/Cargo.toml
 
+# Live load check (DESIGN.md §8): a short dup_hot run of the load benchmark
+# against a real coqld. Every verdict must be correct, the median request
+# must not wait out a Nagle/delayed-ACK stall (those sat at ~44 ms), and
+# memory must not grow with the request count.
+echo "==> live load check (dup_hot: correct, p50 < 5 ms, peak RSS < 10 MB)"
+run cargo build --release --manifest-path loadbench/Cargo.toml
+LOAD_JSON=$("${CARGO_TARGET_DIR:-loadbench/target}/release/co-load" \
+    --workload dup_hot --seed 1 --seconds 3 --trace 0 | tail -n 1)
+echo "$LOAD_JSON"
+load_metric() { printf '%s\n' "$LOAD_JSON" | sed -n "s/.*\"$1\": {\"value\": \([^,}]*\).*/\1/p"; }
+P50=$(load_metric latency_p50_ms)
+RSS=$(load_metric peak_rss_mb)
+printf '%s' "$LOAD_JSON" | grep -q '"correct": true' || { echo "live load: wrong verdicts"; exit 1; }
+awk -v p="$P50" -v r="$RSS" 'BEGIN { exit !(p != "" && r != "" && p + 0 < 5 && r + 0 < 10) }' \
+    || { echo "live load: p50 ${P50:-?} ms, peak RSS ${RSS:-?} MB (limits 5 ms, 10 MB)"; exit 1; }
+
 echo "==> live METRICS scrape (parseable exposition, monotone counters)"
 ./target/release/coqld --listen 127.0.0.1:0 --kernel-threads 2 >target/coqld-verify.log 2>&1 &
 COQLD_PID=$!
