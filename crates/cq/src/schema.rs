@@ -8,52 +8,27 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{OnceLock, RwLock};
 
 use co_object::atom::{mint_fresh, FRESH_BIT};
+use co_object::intern::Interner;
 use co_object::Field;
 
-/// Names parsed from text. Fresh names ([`Var::fresh`], [`RelName::fresh`])
-/// are mint counts with [`FRESH_BIT`] set and never enter a table.
-struct NameTable {
-    map: HashMap<String, u64>,
-    items: Vec<String>,
-}
-
-impl NameTable {
-    fn new() -> NameTable {
-        NameTable { map: HashMap::new(), items: Vec::new() }
-    }
-
-    fn intern(&mut self, s: &str) -> u64 {
-        if let Some(&id) = self.map.get(s) {
-            return id;
-        }
-        let id = self.items.len() as u64;
-        assert!(id < FRESH_BIT, "name table overflow");
-        self.items.push(s.to_string());
-        self.map.insert(s.to_string(), id);
-        id
-    }
-}
-
+/// A handle type over its own [`Interner`] of names parsed from text.
+/// Fresh names ([`Var::fresh`], [`RelName::fresh`]) are mint counts with
+/// [`FRESH_BIT`] set and never enter a table.
 macro_rules! interned_name {
     ($(#[$doc:meta])* $name:ident, $table:ident) => {
         $(#[$doc])*
         #[derive(Clone, Copy, PartialEq, Eq, Hash)]
         pub struct $name(u64);
 
-        fn $table() -> &'static RwLock<NameTable> {
-            static T: OnceLock<RwLock<NameTable>> = OnceLock::new();
-            T.get_or_init(|| RwLock::new(NameTable::new()))
-        }
+        static $table: Interner<str> = Interner::new();
 
         impl $name {
             /// Interns a name.
             pub fn new(name: &str) -> $name {
-                $name($table().write().unwrap().intern(name))
+                $name(u64::from($table.intern(name)))
             }
 
             /// Mints a fresh name, distinct from every interned name and
@@ -67,13 +42,19 @@ macro_rules! interned_name {
                 self.0 & FRESH_BIT != 0
             }
 
+            /// The name this handle was interned from, without locking or
+            /// copying; `None` for a fresh name.
+            pub fn as_str(self) -> Option<&'static str> {
+                if self.is_fresh() {
+                    return None;
+                }
+                Some($table.get(self.0 as u32))
+            }
+
             /// The name this handle was interned from; a fresh name reads
             /// `ₑn`, with `n` its mint count.
             pub fn name(self) -> String {
-                if self.is_fresh() {
-                    return format!("\u{2091}{}", self.0 & !FRESH_BIT);
-                }
-                $table().read().unwrap().items[self.0 as usize].clone()
+                self.to_string()
             }
 
             /// Raw handle (stable within a process).
@@ -83,7 +64,7 @@ macro_rules! interned_name {
 
             /// Number of names interned so far. Fresh names never add to it.
             pub fn interned_count() -> usize {
-                $table().read().unwrap().items.len()
+                $table.len()
             }
         }
 
@@ -99,17 +80,19 @@ macro_rules! interned_name {
                 if self.0 == other.0 {
                     return Ordering::Equal;
                 }
-                if self.is_fresh() || other.is_fresh() {
-                    return self.0.cmp(&other.0);
+                match (self.as_str(), other.as_str()) {
+                    (Some(a), Some(b)) => a.cmp(b),
+                    _ => self.0.cmp(&other.0),
                 }
-                let t = $table().read().unwrap();
-                t.items[self.0 as usize].cmp(&t.items[other.0 as usize])
             }
         }
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{}", self.name())
+                match self.as_str() {
+                    Some(s) => f.write_str(s),
+                    None => write!(f, "\u{2091}{}", self.0 & !FRESH_BIT),
+                }
             }
         }
 
@@ -124,14 +107,14 @@ macro_rules! interned_name {
 interned_name!(
     /// An interned relation name (`R`, `S`, … in the paper).
     RelName,
-    rel_table
+    REL_NAMES
 );
 
 interned_name!(
     /// An interned query variable. Ordered by name for deterministic output
     /// (fresh variables after every named one, in mint order).
     Var,
-    var_table
+    VAR_NAMES
 );
 
 /// Schema of a single flat relation: name plus named atomic attributes.
@@ -227,6 +210,8 @@ mod tests {
         assert_eq!(RelName::new("R"), RelName::new("R"));
         assert_ne!(RelName::new("R"), RelName::new("S"));
         assert_eq!(Var::new("x").name(), "x");
+        assert_eq!(RelName::new("R").as_str(), Some("R"));
+        assert_eq!(Var::fresh().as_str(), None);
     }
 
     #[test]
@@ -235,6 +220,7 @@ mod tests {
         assert_ne!(a, b);
         assert!(a < b, "fresh names order by mint order");
         assert!(Var::new("zzz") < a, "interned names sort first");
+        assert_eq!(a.name(), format!("\u{2091}{}", a.id() & !FRESH_BIT));
         assert_ne!(Var::new(&a.name()), a, "a fresh name's text is not its identity");
         assert_ne!(RelName::fresh(), RelName::fresh());
     }

@@ -29,10 +29,24 @@
 //! same string) or pathological self-join twins, where we fall back to
 //! source order and may miss a cache hit — never produce a false merge,
 //! since the serialization always records the full structure.
+//!
+//! ## How the text is written
+//!
+//! Every request is keyed by this text, and on a cache hit nothing else
+//! runs, so the walk is written to be cheap: one output buffer, the scope
+//! as a stack of `(variable, canonical number)` pairs, names borrowed from
+//! the interners, each constant's signature hash taken once per ordered
+//! comprehension rather than once per refinement round, and conditions
+//! rendered into one reused arena and sorted as slices of it. The bytes
+//! are a persisted format (fingerprints, snapshots, routing), pinned by
+//! `tests/canon_golden.rs`.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::fmt::Write as _;
+use std::ops::Range;
 
-use co_cq::Var;
+use co_cq::{RelName, Var};
+use co_object::Field;
 
 use crate::normalize::{AtomTerm, Comprehension, NormalValue};
 
@@ -40,51 +54,202 @@ use crate::normalize::{AtomTerm, Comprehension, NormalValue};
 /// reordering of independent generators, and reordering or duplication of
 /// conditions all map to the same string. See the module docs for scope.
 pub fn canonical_query(c: &Comprehension) -> String {
-    let mut out = String::new();
-    let mut counter = 0usize;
-    ser_comp(c, &BTreeMap::new(), &mut counter, &mut out);
-    out
+    let mut walk = Walk { out: String::with_capacity(128), ..Walk::default() };
+    walk.comp(c);
+    walk.out
 }
 
-/// How a variable occurrence is bound at a point in the walk.
-#[derive(Clone, Debug)]
-enum Binding {
-    /// Bound by the comprehension currently being canonicalized.
-    Local,
-    /// Bound by an enclosing comprehension, already named canonically.
-    Ambient(String),
-    /// Bound by a nested comprehension (not yet canonicalized); carries
-    /// the relation name, which is all its signature contributes.
-    Inner(String),
+/// The serializer's state. Every buffer is reused by each comprehension
+/// in turn: a comprehension is done with them before its head recurses.
+#[derive(Default)]
+struct Walk {
+    /// The canonical text written so far.
+    out: String,
+    /// Generators in scope, innermost last, with their canonical numbers:
+    /// a variable reads `$n` for the topmost entry naming it.
+    scope: Vec<(Var, usize)>,
+    /// The next canonical number.
+    counter: usize,
+    /// The rendered conditions of the comprehension being written.
+    arena: String,
+    /// One condition's text within `arena` each.
+    spans: Vec<Range<usize>>,
+    /// Scratch text: a condition's two sides, or a hashed name.
+    scratch: String,
+    /// Signature refinement of the comprehension being written.
+    sigs: Signatures,
 }
 
-/// One occurrence of a local generator in a condition.
-struct CondOcc {
-    /// Structural path of the comprehension holding the condition.
-    path: u64,
-    /// The field projected from the local generator on this side.
-    my_field: Option<String>,
-    /// The other side of the equality, abstracted for signatures.
-    other: OtherSide,
+impl Walk {
+    fn comp(&mut self, c: &Comprehension) {
+        if c.unsat {
+            // A statically-empty comprehension denotes ∅ whatever its body;
+            // only the element shape (result type skeleton) matters.
+            self.out.push_str("empty");
+            write_shape(&c.head, &mut self.out);
+            return;
+        }
+        self.sigs.order_generators(c, &self.scope, &mut self.scratch);
+        let outer = self.scope.len();
+        self.out.push_str("set{g=[");
+        for (k, &i) in self.sigs.order.iter().enumerate() {
+            let (v, r) = c.gens[i];
+            if k > 0 {
+                self.out.push(',');
+            }
+            write_number(self.counter, &mut self.out);
+            self.out.push(':');
+            self.out.push_str(&rel_text(r));
+            self.scope.push((v, self.counter));
+            self.counter += 1;
+        }
+        self.out.push_str("];c=[");
+        self.conds(c);
+        self.out.push_str("];h=");
+        self.value(&c.head);
+        self.out.push('}');
+        self.scope.truncate(outer);
+    }
+
+    /// Writes the comprehension's conditions, each as `lo=hi` with its
+    /// sides in text order, sorted and deduplicated.
+    fn conds(&mut self, c: &Comprehension) {
+        self.arena.clear();
+        self.spans.clear();
+        for (a, b) in &c.conds {
+            self.scratch.clear();
+            write_term(a, &self.scope, &mut self.scratch);
+            let split = self.scratch.len();
+            write_term(b, &self.scope, &mut self.scratch);
+            let (sa, sb) = self.scratch.split_at(split);
+            let (lo, hi) = if sa <= sb { (sa, sb) } else { (sb, sa) };
+            let start = self.arena.len();
+            self.arena.push_str(lo);
+            self.arena.push('=');
+            self.arena.push_str(hi);
+            self.spans.push(start..self.arena.len());
+        }
+        let arena = &self.arena;
+        self.spans.sort_unstable_by(|x, y| arena[x.clone()].cmp(&arena[y.clone()]));
+        self.spans.dedup_by(|x, y| arena[x.clone()] == arena[y.clone()]);
+        for (k, span) in self.spans.iter().enumerate() {
+            if k > 0 {
+                self.out.push(',');
+            }
+            self.out.push_str(&arena[span.clone()]);
+        }
+    }
+
+    fn value(&mut self, nv: &NormalValue) {
+        match nv {
+            NormalValue::Atom(t) => write_term(t, &self.scope, &mut self.out),
+            NormalValue::Record(fields) => {
+                self.out.push('[');
+                by_label(fields, |k, f, v| {
+                    if k > 0 {
+                        self.out.push(',');
+                    }
+                    self.out.push_str(f.as_str());
+                    self.out.push(':');
+                    self.value(v);
+                });
+                self.out.push(']');
+            }
+            NormalValue::Set(c) => self.comp(c),
+        }
+    }
 }
 
-enum OtherSide {
-    Const(String),
-    Col { var: Var, field: Option<String> },
+/// `$n`, a generator's canonical name.
+fn write_number(n: usize, out: &mut String) {
+    if n < 10 {
+        out.push('$');
+        out.push(char::from(b'0' + n as u8));
+    } else {
+        let _ = write!(out, "${n}");
+    }
 }
 
-/// One occurrence of a local generator in a head position.
-struct HeadOcc {
-    path: u64,
-    field: Option<String>,
+/// A relation's name as written: borrowed from the interner, or `ₑn` for
+/// a fresh one.
+fn rel_text(r: RelName) -> Cow<'static, str> {
+    r.as_str().map_or_else(|| Cow::Owned(r.name()), Cow::Borrowed)
+}
+
+fn write_term(t: &AtomTerm, scope: &[(Var, usize)], out: &mut String) {
+    match t {
+        AtomTerm::Const(a) => {
+            out.push('#');
+            let _ = write!(out, "{a}");
+        }
+        AtomTerm::Col { var, field } => {
+            // Unbound variables cannot be produced by `normalize`, but keep
+            // the serialization total rather than panicking on hand-built
+            // normal forms.
+            match scope.iter().rev().find(|(v, _)| v == var) {
+                Some(&(_, n)) => write_number(n, out),
+                None => {
+                    let _ = write!(out, "?{var}");
+                }
+            }
+            if let Some(f) = field {
+                out.push('.');
+                out.push_str(f.as_str());
+            }
+        }
+    }
+}
+
+/// Serializes only the structural shape of a normal value (the result-type
+/// skeleton), used for statically-empty comprehensions.
+fn write_shape(nv: &NormalValue, out: &mut String) {
+    match nv {
+        NormalValue::Atom(_) => out.push('a'),
+        NormalValue::Record(fields) => {
+            out.push('[');
+            by_label(fields, |k, f, v| {
+                if k > 0 {
+                    out.push(',');
+                }
+                out.push_str(f.as_str());
+                out.push(':');
+                write_shape(v, out);
+            });
+            out.push(']');
+        }
+        NormalValue::Set(c) => {
+            out.push('{');
+            write_shape(&c.head, out);
+            out.push('}');
+        }
+    }
+}
+
+/// Visits record fields in label *name* order, with their position. The
+/// normal form already sorts by the interned `Field` order, which is also
+/// alphabetical, so this only copies when that invariant does not hold:
+/// canonicity stays independent of it.
+fn by_label<'a>(
+    fields: &'a [(Field, NormalValue)],
+    mut visit: impl FnMut(usize, Field, &'a NormalValue),
+) {
+    if fields.is_sorted_by_key(|(f, _)| f.as_str()) {
+        fields.iter().enumerate().for_each(|(k, (f, v))| visit(k, *f, v));
+    } else {
+        let mut sorted: Vec<_> = fields.iter().collect();
+        sorted.sort_by_key(|(f, _)| f.as_str());
+        sorted.into_iter().enumerate().for_each(|(k, (f, v))| visit(k, *f, v));
+    }
 }
 
 /// FNV-1a over a byte slice, the signature mixing primitive.
-fn fnv64(bytes: &[u8]) -> u64 {
+const fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
-    for &b in bytes {
-        h ^= b as u64;
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
         h = h.wrapping_mul(0x100000001b3);
+        i += 1;
     }
     h
 }
@@ -96,267 +261,194 @@ fn mix(h: u64, more: u64) -> u64 {
     x ^ (x >> 29)
 }
 
-fn field_str(f: &Option<String>) -> &str {
-    f.as_deref().unwrap_or("")
+const HEAD: u64 = fnv64(b"head");
+const SET: u64 = fnv64(b"set");
+
+/// The signature hash of an optional projected field (`""` for none).
+fn field_hash(f: Option<Field>) -> u64 {
+    fnv64(f.map_or("", Field::as_str).as_bytes())
 }
 
-/// Collects every condition and head occurrence of the given comprehension's
-/// *local* generators across the whole subtree, tracking shadowing: a
-/// nested comprehension rebinding the same `Var` hides the outer generator
-/// inside its scope.
-fn collect_occurrences(
-    c: &Comprehension,
-    binds: &BTreeMap<Var, Binding>,
-    path: u64,
-    conds: &mut BTreeMap<Var, Vec<CondOcc>>,
-    heads: &mut BTreeMap<Var, Vec<HeadOcc>>,
-) {
-    for (a, b) in &c.conds {
-        for (mine, other) in [(a, b), (b, a)] {
-            let AtomTerm::Col { var, field } = mine else { continue };
-            if !matches!(binds.get(var), Some(Binding::Local)) {
-                continue;
-            }
-            let other = match other {
-                AtomTerm::Const(atom) => OtherSide::Const(atom.to_string()),
-                AtomTerm::Col { var, field } => {
-                    OtherSide::Col { var: *var, field: field.map(|f| f.name()) }
-                }
-            };
-            conds.entry(*var).or_default().push(CondOcc {
-                path,
-                my_field: field.map(|f| f.name()),
-                other,
-            });
-        }
-    }
-    collect_head(&c.head, binds, mix(path, fnv64(b"head")), conds, heads);
+/// Signature refinement for one comprehension at a time (its buffers are
+/// reused by the next).
+#[derive(Default)]
+struct Signatures {
+    /// The comprehension's distinct local variables and their signatures.
+    locals: Vec<(Var, u64)>,
+    /// `(local, item)`: constraint items that do not depend on other
+    /// signatures.
+    fixed: Vec<(usize, u64)>,
+    /// `(local, mix(path, own field hash), other local, other field
+    /// hash)`: conditions equating two distinct locals' columns.
+    links: Vec<(usize, u64, usize, u64)>,
+    /// Variables bound by the nested comprehensions around the current
+    /// point of the occurrence walk.
+    shadow: Vec<Var>,
+    /// Signatures of the previous round (per local), then of each
+    /// generator (per generator) for the final sort.
+    prev: Vec<u64>,
+    items: Vec<u64>,
+    /// The chosen generator order: indices into the comprehension's
+    /// generators.
+    order: Vec<usize>,
 }
 
-fn collect_head(
-    nv: &NormalValue,
-    binds: &BTreeMap<Var, Binding>,
-    path: u64,
-    conds: &mut BTreeMap<Var, Vec<CondOcc>>,
-    heads: &mut BTreeMap<Var, Vec<HeadOcc>>,
-) {
-    match nv {
-        NormalValue::Atom(AtomTerm::Const(_)) => {}
-        NormalValue::Atom(AtomTerm::Col { var, field }) => {
-            if matches!(binds.get(var), Some(Binding::Local)) {
-                heads
-                    .entry(*var)
-                    .or_default()
-                    .push(HeadOcc { path, field: field.map(|f| f.name()) });
+impl Signatures {
+    /// Chooses the canonical generator order for one comprehension by
+    /// signature refinement, leaving it in `self.order`.
+    fn order_generators(
+        &mut self,
+        c: &Comprehension,
+        ambient: &[(Var, usize)],
+        scratch: &mut String,
+    ) {
+        // Round 0: the relation generated over. A variable bound twice
+        // keeps the relation of its last generator. Locals are kept in
+        // handle order for lookup; their order affects no signature.
+        self.locals.clear();
+        self.locals.extend(c.gens.iter().map(|&(var, _)| (var, 0)));
+        self.locals.sort_unstable_by_key(|(v, _)| v.id());
+        self.locals.dedup_by_key(|(v, _)| v.id());
+        for &(var, r) in &c.gens {
+            let i = self.find(var).expect("every generator is a local");
+            self.locals[i].1 = fnv64(rel_text(r).as_bytes());
+        }
+        self.fixed.clear();
+        self.links.clear();
+        self.shadow.clear();
+        self.collect(c, 0, ambient, scratch);
+        // Group each local's constraints; the rounds below sort every
+        // local's items anyway, so the order within a group is free.
+        self.fixed.sort_unstable();
+        self.links.sort_unstable_by_key(|link| link.0);
+
+        let rounds = c.gens.len().clamp(1, 4);
+        for _ in 0..rounds {
+            self.prev.clear();
+            self.prev.extend(self.locals.iter().map(|&(_, sig)| sig));
+            let (mut fixed, mut links) = (self.fixed.as_slice(), self.links.as_slice());
+            for (i, local) in self.locals.iter_mut().enumerate() {
+                let own = fixed.partition_point(|&(l, _)| l == i);
+                let linked = links.partition_point(|&(l, ..)| l == i);
+                self.items.clear();
+                self.items.extend(fixed[..own].iter().map(|&(_, item)| item));
+                self.items.extend(
+                    links[..linked]
+                        .iter()
+                        .map(|&(_, left, j, field)| mix(left, mix(mix(3, self.prev[j]), field))),
+                );
+                (fixed, links) = (&fixed[own..], &links[linked..]);
+                self.items.sort_unstable();
+                local.1 = self.items.iter().fold(local.1, |h, &item| mix(h, item));
             }
         }
-        NormalValue::Record(fields) => {
-            for (f, v) in fields {
-                let p = mix(path, fnv64(f.name().as_bytes()));
-                collect_head(v, binds, p, conds, heads);
-            }
+
+        self.prev.clear();
+        for &(var, _) in &c.gens {
+            let i = self.find(var).expect("every generator is a local");
+            self.prev.push(self.locals[i].1);
         }
-        NormalValue::Set(inner) => {
-            // The nested comprehension's generators shadow outer bindings.
-            let mut binds = binds.clone();
-            for (v, r) in &inner.gens {
-                binds.insert(*v, Binding::Inner(r.name()));
-            }
-            collect_occurrences(inner, &binds, mix(path, fnv64(b"set")), conds, heads);
-        }
+        let sig = &self.prev;
+        self.order.clear();
+        self.order.extend(0..c.gens.len());
+        // Relation name first so the serialized generator list reads
+        // naturally; the refined signature second; source position as the
+        // last-resort tie-break (ties at this point are symmetric or
+        // pathological — see module docs).
+        self.order.sort_by(|&i, &j| {
+            rel_text(c.gens[i].1)
+                .cmp(&rel_text(c.gens[j].1))
+                .then_with(|| sig[i].cmp(&sig[j]))
+                .then(i.cmp(&j))
+        });
     }
-}
 
-/// Chooses the canonical generator order for one comprehension by
-/// signature refinement, returning the generator indices in order.
-fn canonical_gen_order(c: &Comprehension, ambient: &BTreeMap<Var, String>) -> Vec<usize> {
-    let mut binds: BTreeMap<Var, Binding> =
-        ambient.iter().map(|(v, name)| (*v, Binding::Ambient(name.clone()))).collect();
-    for (v, _) in &c.gens {
-        binds.insert(*v, Binding::Local);
+    /// The local `var` names in the ordered comprehension's own scope.
+    fn find(&self, var: Var) -> Option<usize> {
+        self.locals.binary_search_by_key(&var.id(), |(v, _)| v.id()).ok()
     }
-    let mut conds: BTreeMap<Var, Vec<CondOcc>> = BTreeMap::new();
-    let mut heads: BTreeMap<Var, Vec<HeadOcc>> = BTreeMap::new();
-    collect_occurrences(c, &binds, 0, &mut conds, &mut heads);
 
-    // Round 0: the relation generated over.
-    let mut sig: BTreeMap<Var, u64> =
-        c.gens.iter().map(|(v, r)| (*v, fnv64(r.name().as_bytes()))).collect();
+    /// The local `var` names at the current point of the occurrence walk,
+    /// unless a nested comprehension rebinds it.
+    fn local(&self, var: Var) -> Option<usize> {
+        let i = self.find(var)?;
+        (!self.shadow.contains(&var)).then_some(i)
+    }
 
-    let rounds = c.gens.len().clamp(1, 4);
-    for _ in 0..rounds {
-        let prev = sig.clone();
-        for (v, s) in sig.iter_mut() {
-            let mut items: Vec<u64> = Vec::new();
-            for occ in conds.get(v).map(Vec::as_slice).unwrap_or(&[]) {
-                let other_sig = match &occ.other {
-                    OtherSide::Const(text) => mix(1, fnv64(text.as_bytes())),
-                    OtherSide::Col { var, field } => {
-                        let base = match binds.get(var) {
-                            Some(Binding::Local) => {
-                                if var == v {
-                                    mix(2, 0) // self-equality marker
-                                } else {
-                                    mix(3, prev[var])
-                                }
+    /// Collects every condition and head occurrence of the locals across
+    /// the comprehension's whole subtree. The other side of a condition is
+    /// classified by the ordered comprehension's own scope — its locals
+    /// first, then the ambient generators — whatever nests in between.
+    fn collect(
+        &mut self,
+        c: &Comprehension,
+        path: u64,
+        ambient: &[(Var, usize)],
+        scratch: &mut String,
+    ) {
+        for (a, b) in &c.conds {
+            for (mine, other) in [(a, b), (b, a)] {
+                let AtomTerm::Col { var, field } = *mine else { continue };
+                let Some(i) = self.local(var) else { continue };
+                let left = mix(path, field_hash(field));
+                let other_sig = match *other {
+                    AtomTerm::Const(atom) => {
+                        scratch.clear();
+                        let _ = write!(scratch, "{atom}");
+                        mix(1, fnv64(scratch.as_bytes()))
+                    }
+                    AtomTerm::Col { var: other, field } => {
+                        let base = if let Some(j) = self.find(other) {
+                            if other != var {
+                                self.links.push((i, left, j, field_hash(field)));
+                                continue;
                             }
-                            Some(Binding::Ambient(name)) => mix(4, fnv64(name.as_bytes())),
-                            Some(Binding::Inner(rel)) => mix(5, fnv64(rel.as_bytes())),
-                            None => mix(6, 0),
+                            mix(2, 0) // self-equality marker
+                        } else if let Some(&(_, n)) =
+                            ambient.iter().rev().find(|(v, _)| *v == other)
+                        {
+                            scratch.clear();
+                            write_number(n, scratch);
+                            mix(4, fnv64(scratch.as_bytes()))
+                        } else {
+                            mix(6, 0)
                         };
-                        mix(base, fnv64(field_str(field).as_bytes()))
+                        mix(base, field_hash(field))
                     }
                 };
-                let mine = fnv64(field_str(&occ.my_field).as_bytes());
-                items.push(mix(mix(occ.path, mine), other_sig));
-            }
-            for occ in heads.get(v).map(Vec::as_slice).unwrap_or(&[]) {
-                let mine = fnv64(field_str(&occ.field).as_bytes());
-                items.push(mix(mix(occ.path, mine), 7));
-            }
-            items.sort_unstable();
-            let mut h = *s;
-            for item in items {
-                h = mix(h, item);
-            }
-            *s = h;
-        }
-    }
-
-    let mut order: Vec<usize> = (0..c.gens.len()).collect();
-    // Relation name first so the serialized generator list reads naturally;
-    // the refined signature second; source position as the last-resort
-    // tie-break (ties at this point are symmetric or pathological — see
-    // module docs).
-    order.sort_by(|&i, &j| {
-        let (vi, ri) = &c.gens[i];
-        let (vj, rj) = &c.gens[j];
-        ri.name().cmp(&rj.name()).then_with(|| sig[vi].cmp(&sig[vj])).then(i.cmp(&j))
-    });
-    order
-}
-
-fn ser_comp(
-    c: &Comprehension,
-    ambient: &BTreeMap<Var, String>,
-    counter: &mut usize,
-    out: &mut String,
-) {
-    if c.unsat {
-        // A statically-empty comprehension denotes ∅ whatever its body;
-        // only the element shape (result type skeleton) matters.
-        out.push_str("empty");
-        ser_shape(&c.head, out);
-        return;
-    }
-    let order = canonical_gen_order(c, ambient);
-    let mut binds = ambient.clone();
-    let mut gen_names: Vec<(String, String)> = Vec::with_capacity(order.len());
-    for &i in &order {
-        let (v, r) = &c.gens[i];
-        let name = format!("${}", *counter);
-        *counter += 1;
-        binds.insert(*v, name.clone());
-        gen_names.push((name, r.name()));
-    }
-    out.push_str("set{g=[");
-    for (k, (name, rel)) in gen_names.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        out.push_str(name);
-        out.push(':');
-        out.push_str(rel);
-    }
-    out.push_str("];c=[");
-    let mut conds: Vec<String> = c
-        .conds
-        .iter()
-        .map(|(a, b)| {
-            let (sa, sb) = (ser_term(a, &binds), ser_term(b, &binds));
-            if sa <= sb {
-                format!("{sa}={sb}")
-            } else {
-                format!("{sb}={sa}")
-            }
-        })
-        .collect();
-    conds.sort_unstable();
-    conds.dedup();
-    out.push_str(&conds.join(","));
-    out.push_str("];h=");
-    ser_value(&c.head, &binds, counter, out);
-    out.push('}');
-}
-
-fn ser_term(t: &AtomTerm, binds: &BTreeMap<Var, String>) -> String {
-    match t {
-        AtomTerm::Const(a) => format!("#{a}"),
-        AtomTerm::Col { var, field } => {
-            // Unbound variables cannot be produced by `normalize`, but keep
-            // the serialization total rather than panicking on hand-built
-            // normal forms.
-            let name = binds.get(var).cloned().unwrap_or_else(|| format!("?{var}"));
-            match field {
-                Some(f) => format!("{name}.{f}"),
-                None => name,
+                self.fixed.push((i, mix(left, other_sig)));
             }
         }
+        self.collect_head(&c.head, mix(path, HEAD), ambient, scratch);
     }
-}
 
-fn ser_value(
-    nv: &NormalValue,
-    binds: &BTreeMap<Var, String>,
-    counter: &mut usize,
-    out: &mut String,
-) {
-    match nv {
-        NormalValue::Atom(t) => out.push_str(&ser_term(t, binds)),
-        NormalValue::Record(fields) => {
-            // Sort by label *name* (the normal form already sorts by the
-            // interned `Field` order, which is also alphabetical; sorting
-            // here keeps canonicity independent of that invariant).
-            let mut sorted: Vec<&(co_object::Field, NormalValue)> = fields.iter().collect();
-            sorted.sort_by_key(|(f, _)| f.name());
-            out.push('[');
-            for (k, (f, v)) in sorted.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
+    fn collect_head(
+        &mut self,
+        nv: &NormalValue,
+        path: u64,
+        ambient: &[(Var, usize)],
+        scratch: &mut String,
+    ) {
+        match nv {
+            NormalValue::Atom(AtomTerm::Const(_)) => {}
+            NormalValue::Atom(AtomTerm::Col { var, field }) => {
+                if let Some(i) = self.local(*var) {
+                    self.fixed.push((i, mix(mix(path, field_hash(*field)), 7)));
                 }
-                out.push_str(&f.name());
-                out.push(':');
-                ser_value(v, binds, counter, out);
             }
-            out.push(']');
-        }
-        NormalValue::Set(c) => ser_comp(c, binds, counter, out),
-    }
-}
-
-/// Serializes only the structural shape of a normal value (the result-type
-/// skeleton), used for statically-empty comprehensions.
-fn ser_shape(nv: &NormalValue, out: &mut String) {
-    match nv {
-        NormalValue::Atom(_) => out.push('a'),
-        NormalValue::Record(fields) => {
-            let mut sorted: Vec<&(co_object::Field, NormalValue)> = fields.iter().collect();
-            sorted.sort_by_key(|(f, _)| f.name());
-            out.push('[');
-            for (k, (f, v)) in sorted.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
+            NormalValue::Record(fields) => {
+                for (f, v) in fields {
+                    let path = mix(path, fnv64(f.as_str().as_bytes()));
+                    self.collect_head(v, path, ambient, scratch);
                 }
-                out.push_str(&f.name());
-                out.push(':');
-                ser_shape(v, out);
             }
-            out.push(']');
-        }
-        NormalValue::Set(c) => {
-            out.push('{');
-            ser_shape(&c.head, out);
-            out.push('}');
+            NormalValue::Set(inner) => {
+                // The nested comprehension's generators shadow outer bindings.
+                let outer = self.shadow.len();
+                self.shadow.extend(inner.gens.iter().map(|(v, _)| *v));
+                self.collect(inner, mix(path, SET), ambient, scratch);
+                self.shadow.truncate(outer);
+            }
         }
     }
 }

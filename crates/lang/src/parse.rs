@@ -177,7 +177,7 @@ impl<'a> P<'a> {
         true
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
         if !self.peek().is_some_and(|c| c.is_ascii_alphabetic() || c == b'_') {
             return Err(self.err("expected identifier"));
@@ -185,7 +185,7 @@ impl<'a> P<'a> {
         while self.peek().is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_') {
             self.pos += 1;
         }
-        Ok(std::str::from_utf8(&self.s[start..self.pos]).expect("ascii").to_string())
+        Ok(std::str::from_utf8(&self.s[start..self.pos]).expect("ascii"))
     }
 
     /// Every recursive production funnels through here, so one depth
@@ -232,7 +232,7 @@ impl<'a> P<'a> {
                 return Err(self.err("expected `in`"));
             }
             let gen = self.expr()?;
-            bindings.push((Var::new(&name), gen));
+            bindings.push((Var::new(name), gen));
             self.ws();
             if self.peek() == Some(b',') {
                 self.pos += 1;
@@ -265,7 +265,7 @@ impl<'a> P<'a> {
             if self.peek() == Some(b'.') {
                 self.pos += 1;
                 let field = self.ident()?;
-                e = Expr::Proj(Box::new(e), Field::new(&field));
+                e = Expr::Proj(Box::new(e), Field::new(field));
             } else {
                 return Ok(e);
             }
@@ -296,7 +296,7 @@ impl<'a> P<'a> {
                     self.ws();
                     self.expect(b':')?;
                     let e = self.expr()?;
-                    fields.push((Field::new(&name), e));
+                    fields.push((Field::new(name), e));
                     self.ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -357,9 +357,9 @@ impl<'a> P<'a> {
                 let name = self.ident()?;
                 let first = name.chars().next().expect("non-empty");
                 if first.is_ascii_uppercase() {
-                    Ok(Expr::Rel(co_cq::RelName::new(&name)))
+                    Ok(Expr::Rel(co_cq::RelName::new(name)))
                 } else {
-                    Ok(Expr::Var(Var::new(&name)))
+                    Ok(Expr::Var(Var::new(name)))
                 }
             }
             _ => Err(self.err("expected an expression")),

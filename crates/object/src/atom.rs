@@ -20,14 +20,18 @@
 //! types distinct prevents accidentally using a field label as a data value.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{self, AtomicU64};
-use std::sync::{OnceLock, RwLock};
+
+use crate::intern::Interner;
 
 /// The handle bit that marks a fresh (minted, never interned) handle. The
 /// remaining bits are the mint count from [`mint_fresh`].
 pub const FRESH_BIT: u64 = 1 << 63;
+
+/// The handle bit that marks an interned integer: the remaining bits index
+/// [`INTS`]. Handles with neither bit set index [`STRS`].
+const INT_BIT: u64 = 1 << 62;
 
 /// Draws the next count from the process-wide mint counter shared by every
 /// fresh handle type ([`Atom`] here, the variable and relation names of
@@ -37,40 +41,16 @@ pub fn mint_fresh() -> u64 {
     NEXT.fetch_add(1, atomic::Ordering::Relaxed) | FRESH_BIT
 }
 
-/// Payload of an interned atom.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum AtomData {
-    /// A symbolic constant such as `'paris'`.
-    Str(String),
-    /// An integer constant such as `42`.
+static STRS: Interner<str> = Interner::new();
+static INTS: Interner<i64> = Interner::new();
+static FIELDS: Interner<str> = Interner::new();
+
+/// What an atom handle denotes, ordered as [`Atom`]'s `Ord` documents.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Payload {
     Int(i64),
-}
-
-struct Interner {
-    map: HashMap<AtomData, u64>,
-    items: Vec<AtomData>,
-}
-
-impl Interner {
-    fn new() -> Self {
-        Interner { map: HashMap::new(), items: Vec::new() }
-    }
-
-    fn intern(&mut self, data: AtomData) -> u64 {
-        if let Some(&id) = self.map.get(&data) {
-            return id;
-        }
-        let id = self.items.len() as u64;
-        assert!(id < FRESH_BIT, "atom interner overflow");
-        self.items.push(data.clone());
-        self.map.insert(data, id);
-        id
-    }
-}
-
-fn global() -> &'static RwLock<Interner> {
-    static GLOBAL: OnceLock<RwLock<Interner>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(Interner::new()))
+    Str(&'static str),
+    Fresh(u64),
 }
 
 /// An atomic value from the paper's infinite domain `D`.
@@ -94,32 +74,19 @@ impl Ord for Atom {
         if self.0 == other.0 {
             return Ordering::Equal;
         }
-        if self.is_fresh() || other.is_fresh() {
-            // Interned handles are below FRESH_BIT, fresh ones above it in
-            // mint order, so the raw handles already order correctly.
-            return self.0.cmp(&other.0);
-        }
-        let g = global().read().unwrap();
-        let a = &g.items[self.0 as usize];
-        let b = &g.items[other.0 as usize];
-        match (a, b) {
-            (AtomData::Int(x), AtomData::Int(y)) => x.cmp(y),
-            (AtomData::Int(_), AtomData::Str(_)) => Ordering::Less,
-            (AtomData::Str(_), AtomData::Int(_)) => Ordering::Greater,
-            (AtomData::Str(x), AtomData::Str(y)) => x.cmp(y),
-        }
+        self.payload().cmp(&other.payload())
     }
 }
 
 impl Atom {
     /// Interns a string constant.
     pub fn str(s: &str) -> Atom {
-        Atom(global().write().unwrap().intern(AtomData::Str(s.to_string())))
+        Atom(u64::from(STRS.intern(s)))
     }
 
     /// Interns an integer constant.
     pub fn int(i: i64) -> Atom {
-        Atom(global().write().unwrap().intern(AtomData::Int(i)))
+        Atom(u64::from(INTS.intern(&i)) | INT_BIT)
     }
 
     /// Mints a globally fresh atom, guaranteed distinct from every interned
@@ -144,47 +111,52 @@ impl Atom {
 
     /// Number of payloads interned so far. Fresh atoms never add to it.
     pub fn interned_count() -> usize {
-        global().read().unwrap().items.len()
+        STRS.len() + INTS.len()
     }
 
     /// Returns the string payload, if this atom was interned from a string.
-    pub fn as_str(self) -> Option<String> {
-        self.with_payload(|data| match data {
-            AtomData::Str(s) => Some(s.clone()),
-            AtomData::Int(_) => None,
-        })
+    pub fn as_str(self) -> Option<&'static str> {
+        match self.payload() {
+            Payload::Str(s) => Some(s),
+            _ => None,
+        }
     }
 
     /// Returns the integer payload, if this atom was interned from an integer.
     pub fn as_int(self) -> Option<i64> {
-        self.with_payload(|data| match data {
-            AtomData::Int(i) => Some(*i),
-            AtomData::Str(_) => None,
-        })
+        match self.payload() {
+            Payload::Int(i) => Some(i),
+            _ => None,
+        }
     }
 
-    fn with_payload<T>(self, f: impl FnOnce(&AtomData) -> Option<T>) -> Option<T> {
+    fn payload(self) -> Payload {
         if self.is_fresh() {
-            return None;
+            Payload::Fresh(self.0 & !FRESH_BIT)
+        } else if self.0 & INT_BIT != 0 {
+            Payload::Int(INTS.get((self.0 & !INT_BIT) as u32))
+        } else {
+            Payload::Str(STRS.get(self.0 as u32))
         }
-        f(&global().read().unwrap().items[self.0 as usize])
     }
 }
 
 impl fmt::Display for Atom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_fresh() {
-            return write!(f, "\u{27e8}#{}\u{27e9}", self.0 & !FRESH_BIT);
-        }
-        match &global().read().unwrap().items[self.0 as usize] {
-            AtomData::Str(s) => {
-                if is_bare(s) {
-                    write!(f, "{s}")
-                } else {
-                    write!(f, "'{}'", s.replace('\'', "\\'"))
+        match self.payload() {
+            Payload::Fresh(n) => write!(f, "\u{27e8}#{n}\u{27e9}"),
+            Payload::Int(i) => write!(f, "{i}"),
+            Payload::Str(s) if is_bare(s) => f.write_str(s),
+            Payload::Str(s) => {
+                f.write_char('\'')?;
+                for (k, piece) in s.split('\'').enumerate() {
+                    if k > 0 {
+                        f.write_str("\\'")?;
+                    }
+                    f.write_str(piece)?;
                 }
+                f.write_char('\'')
             }
-            AtomData::Int(i) => write!(f, "{i}"),
         }
     }
 }
@@ -227,29 +199,24 @@ impl Ord for Field {
         if self.0 == other.0 {
             return Ordering::Equal;
         }
-        let g = field_global().read().unwrap();
-        g.items[self.0 as usize].cmp(&g.items[other.0 as usize])
+        self.as_str().cmp(other.as_str())
     }
-}
-
-fn field_global() -> &'static RwLock<Interner> {
-    static GLOBAL: OnceLock<RwLock<Interner>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(Interner::new()))
 }
 
 impl Field {
     /// Interns a field label.
     pub fn new(name: &str) -> Field {
-        let id = field_global().write().unwrap().intern(AtomData::Str(name.to_string()));
-        Field(u32::try_from(id).expect("field interner overflow"))
+        Field(FIELDS.intern(name))
     }
 
-    /// The label this field was interned from.
+    /// The label this field was interned from, without locking or copying.
+    pub fn as_str(self) -> &'static str {
+        FIELDS.get(self.0)
+    }
+
+    /// The label this field was interned from, as an owned string.
     pub fn name(self) -> String {
-        match &field_global().read().unwrap().items[self.0 as usize] {
-            AtomData::Str(s) => s.clone(),
-            AtomData::Int(i) => i.to_string(),
-        }
+        self.as_str().to_string()
     }
 
     /// The raw interner id.
@@ -260,7 +227,7 @@ impl Field {
 
 impl fmt::Display for Field {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
+        f.write_str(self.as_str())
     }
 }
 
@@ -308,7 +275,7 @@ mod tests {
 
     #[test]
     fn payload_roundtrip() {
-        assert_eq!(Atom::str("hello").as_str().as_deref(), Some("hello"));
+        assert_eq!(Atom::str("hello").as_str(), Some("hello"));
         assert_eq!(Atom::int(-3).as_int(), Some(-3));
         assert_eq!(Atom::int(-3).as_str(), None);
         assert_eq!(Atom::str("x").as_int(), None);

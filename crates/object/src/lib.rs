@@ -30,6 +30,7 @@
 pub mod atom;
 pub mod generate;
 pub mod graph;
+pub mod intern;
 pub mod interrupt;
 pub mod order;
 pub mod par;

@@ -9,7 +9,9 @@
 //! shard's cache — and forwarded verbatim (budget prefixes intact).
 //! `UCHECK`/`UEQUIV` route the same way over the *union* fingerprints
 //! (order-invariant per side), so permuted, duplicated, or α-renamed
-//! unions land on the shard that already memoized the verdict.
+//! unions land on the shard that already memoized the verdict. `AGG` and
+//! `NEST` have no router-side parser; they route on a hash of their
+//! request text and take the same forward path.
 //! Parse/type errors are answered locally without burning a shard
 //! round-trip; `ERR OVERLOADED` and connect failures shed to the next
 //! ring sibling under a bounded retry budget.
@@ -154,8 +156,9 @@ struct RouterStats {
     client_shed: AtomicU64,
     conn_panics: AtomicU64,
     local_errors: AtomicU64,
-    /// Decision requests (`CHECK`/`EQUIV`/`UCHECK`/`UEQUIV`) that reached
-    /// the forward path (the denominator of the hedge rate cap).
+    /// Decision requests (`CHECK`/`EQUIV`/`UCHECK`/`UEQUIV`/`AGG`/`NEST`)
+    /// that reached the forward path (the denominator of the hedge rate
+    /// cap).
     decision_requests: AtomicU64,
     /// Hedge attempts fired (reserved against the rate cap).
     hedges: AtomicU64,
@@ -373,8 +376,36 @@ impl Router {
         let fp1 = fingerprint(q1).map_err(|e| self.local_error(e))?;
         let fp2 = fingerprint(q2).map_err(|e| self.local_error(e))?;
         let key = Router::route_key(entry.fp, fp1, fp2);
-        let candidates = self.candidates(key);
         let route_us = route_span.elapsed_us();
+        let (win, shard, forward_us) =
+            self.forward_keyed(key, original, explain || cert, timeout_ms)?;
+        let mut reply = win.reply;
+        if explain && reply.ends_with("END") {
+            // Splice the router's own phases in before END.
+            reply.truncate(reply.len() - "END".len());
+            reply.push_str(&format!(
+                "explain.router.route_us {route_us}\n\
+                 explain.router.forward_us {forward_us}\n\
+                 explain.router.attempts {}\n\
+                 explain.router.hedged {}\n\
+                 explain.router.shard {}\nEND",
+                win.launched, win.hedged as u8, shard.addr
+            ));
+        }
+        Ok(reply)
+    }
+
+    /// Forwards `original` to the ring candidates of `key` — sequentially
+    /// or hedged, per [`RouterConfig::hedge_after`] — and returns the
+    /// winning reply with the shard that gave it and the forward time.
+    fn forward_keyed(
+        self: &Arc<Router>,
+        key: u64,
+        original: &str,
+        multiline: bool,
+        timeout_ms: Option<u64>,
+    ) -> Result<(ForwardWin, Arc<ShardState>, u64), String> {
+        let candidates = self.candidates(key);
         let total = candidates.len();
         if total == 0 {
             return Err("UNAVAILABLE the fleet is empty".to_string());
@@ -390,7 +421,6 @@ impl Router {
             Some(ms) => Duration::from_millis(ms + 500),
             None => self.config.forward_timeout,
         };
-        let multiline = explain || cert;
         let forward_span = Span::start();
         let won = match self.config.hedge_after {
             None => self.forward_sequential(&candidates, original, multiline, reply_wait, key),
@@ -399,24 +429,11 @@ impl Router {
         match won {
             Ok(win) => {
                 self.stats.routed.fetch_add(1, Ordering::Relaxed);
-                let shard = &candidates[win.idx];
+                let shard = Arc::clone(&candidates[win.idx]);
                 shard.forwarded.fetch_add(1, Ordering::Relaxed);
                 let forward_us = forward_span.elapsed_us();
                 shard.forward_latency.observe(forward_us);
-                let mut reply = win.reply;
-                if explain && reply.ends_with("END") {
-                    // Splice the router's own phases in before END.
-                    reply.truncate(reply.len() - "END".len());
-                    reply.push_str(&format!(
-                        "explain.router.route_us {route_us}\n\
-                         explain.router.forward_us {forward_us}\n\
-                         explain.router.attempts {}\n\
-                         explain.router.hedged {}\n\
-                         explain.router.shard {}\nEND",
-                        win.launched, win.hedged as u8, shard.addr
-                    ));
-                }
-                Ok(reply)
+                Ok((win, shard, forward_us))
             }
             Err(launched) => Err(format!(
                 "UNAVAILABLE {launched} forward attempt(s) failed across {total} shard(s), \
@@ -856,7 +873,7 @@ impl Router {
         );
         counter(
             "router_decision_requests_total",
-            "Decision requests (CHECK/EQUIV/UCHECK/UEQUIV) that reached the forward path",
+            "Decision requests (CHECK/EQUIV/UCHECK/UEQUIV/AGG/NEST) that reached the forward path",
             load(&self.stats.decision_requests),
         );
         counter(
@@ -1054,6 +1071,12 @@ impl Router {
             "UCHECK" | "UEQUIV" => {
                 self.forward_decision(raw, rest, explain, cert, timeout_ms, true)
             }
+            // No router-side parser for these: route on a hash of the
+            // request text after its prefixes, so a repeat reaches the same
+            // shard (any shard's answer is the answer).
+            "AGG" | "NEST" => self
+                .forward_keyed(hash64(line.as_bytes()), raw, false, timeout_ms)
+                .map(|(win, ..)| win.reply),
             "FINGERPRINT" => self.fingerprint_local(rest),
             "SCHEMA" => split_head(rest, "SCHEMA <name> <decl>").and_then(|(name, decl)| {
                 self.register_schema(name, decl).map(|(fp, relations, acked, total)| {
@@ -1072,8 +1095,8 @@ impl Router {
             }
             "QUIT" | "EXIT" => return Reply::Quit,
             other => Err(format!(
-                "unknown command `{other}` (try CHECK, EQUIV, UCHECK, UEQUIV, FINGERPRINT, \
-                 SCHEMA, STATS, METRICS, SHARDS, HANDOFF, SHUTDOWN, QUIT)"
+                "unknown command `{other}` (try CHECK, EQUIV, UCHECK, UEQUIV, AGG, NEST, \
+                 FINGERPRINT, SCHEMA, STATS, METRICS, SHARDS, HANDOFF, SHUTDOWN, QUIT)"
             )),
         };
         match result {

@@ -320,6 +320,33 @@ fn ucheck_duplicates_stay_cache_affine() {
     }
 }
 
+/// `AGG` and `NEST` are forwarded like any other decision: through a
+/// one-shard router they answer exactly what the shard answers directly.
+#[test]
+fn agg_and_nest_answer_exactly_as_the_shard() {
+    let (shard, shard_stop, shard_handle) = start_shard(false);
+    let (router_addr, router, stop, handle) = start_router(&[shard], test_config());
+    let mut via_router = Client::connect(router_addr);
+    assert!(via_router.send(SCHEMA).starts_with("OK"));
+    let mut direct = Client::connect(shard);
+    for line in [
+        "AGG q(X) :- R(X,Y). | count(Y) ;; q(X) :- R(X,Z). | count(Z)",
+        "NEST app R ; nest B as G ; unnest G ;; R",
+    ] {
+        let want = direct.send(line);
+        assert!(want.starts_with("OK "), "shard: {want}");
+        assert_eq!(via_router.send(line), want, "{line}");
+    }
+    assert!(via_router.send("FROB").contains("AGG, NEST"));
+    drop((via_router, direct));
+
+    stop.trigger();
+    handle.join().unwrap();
+    drop(router);
+    shard_stop.trigger();
+    shard_handle.join().unwrap();
+}
+
 #[test]
 fn multi_line_schemas_reach_the_shards_whole() {
     let shards: Vec<_> = (0..2).map(|_| start_shard(false)).collect();

@@ -232,9 +232,11 @@ pub enum Decision {
 pub struct Explain {
     /// Parsing + type checking the query text.
     pub parse_us: u64,
-    /// Canonicalizing (normalizing) the parsed queries.
+    /// Normalizing the parsed queries ([`co_lang::normalize`]); the phase
+    /// keeps its wire name `canonicalize`.
     pub canonicalize_us: u64,
-    /// Fingerprinting the canonical forms.
+    /// The canonical walk over the normal forms
+    /// ([`co_lang::canonical_query`]) plus the hash of its text.
     pub fingerprint_us: u64,
     /// Building (or looking up) the shared [`Prepared`] forms.
     pub prepare_us: u64,

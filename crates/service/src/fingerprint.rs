@@ -6,6 +6,11 @@
 //! order/duplication produce the same cache key. 128 bits keep accidental
 //! collisions out of reach for any realistic request volume (birthday
 //! bound ≈ 2⁶⁴ distinct queries).
+//!
+//! Producing the text costs far more than hashing it. On `dup_hot` normal
+//! forms (46 bytes on average; one thread on a shared 2-core x86-64 host)
+//! the canonical walk takes 0.5–0.6 µs and the hash 0.07 µs per normal
+//! form; `EXPLAIN`'s `fingerprint` phase times both.
 
 use std::fmt;
 
@@ -29,9 +34,8 @@ impl fmt::Display for Fingerprint {
     }
 }
 
-/// FNV-1a with 128-bit state — stable across platforms and releases,
-/// needs no keys, and is fast enough that hashing is negligible next to
-/// normalization.
+/// FNV-1a with 128-bit state — stable across platforms and releases, and
+/// needs no keys.
 pub fn fingerprint_bytes(bytes: &[u8]) -> Fingerprint {
     const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
     const PRIME: u128 = 0x0000000001000000000000000000013b;
@@ -132,7 +136,7 @@ pub fn fingerprint_schema(schema: &Schema) -> Fingerprint {
             if i > 0 {
                 text.push(',');
             }
-            text.push_str(&attr.name());
+            text.push_str(attr.as_str());
         }
         text.push(')');
         text.push(';');

@@ -83,3 +83,42 @@ fn schema_fingerprint_separates_cache_keyspaces() {
     assert_ne!(fingerprint_schema(&s1), fingerprint_schema(&s3));
     assert_eq!(fingerprint_schema(&s1), fingerprint_schema(&s1.clone()));
 }
+
+/// Fingerprints are persisted (snapshots, `HANDOFF`) and routed on, so
+/// their values are pinned: a change to the canonical text or the hash
+/// must fail here and bump `FINGERPRINT_VERSION`.
+#[test]
+fn fingerprint_values_are_pinned() {
+    let flat = Schema::with_relations(&[("R", &["A", "B"]), ("S", &["C"])]);
+    let schema = co_lang::CoqlSchema::from_flat(&flat);
+    let pinned = [
+        ("select x.B from x in R where x.A = 1", "968b1e5ef9103193c3dcbf02c4e138be"),
+        (
+            "select [a: x.A, g: (select [c: y.C, h: (select z.B from z in R \
+             where z.A = y.C and z.B = x.B)] from y in S where y.C = x.A)] from x in R",
+            "df03bd09cc1aaae0e574bd96a37b3061",
+        ),
+        (
+            "select [a: x.A, g: (select x.B from x in R where x.A = 2)] from x in R",
+            "5c1d4a906c9c7657534e23bb97fb4668",
+        ),
+        (
+            "select [a: x.A, g: (select y.C from y in S)] from x in R, z in {}",
+            "d9fd0423392a7d4b0407a1bcaeed8fc2",
+        ),
+        (
+            "select x.B from x in R where x.A = 'a b' and x.B = 'plain'",
+            "4a2d959a4a2e5046e28b0666b4dd6e50",
+        ),
+    ];
+    for (q, want) in pinned {
+        let got = co_service::canonical_fingerprint(&schema, q, 128).unwrap();
+        assert_eq!(got.to_string(), want, "fingerprint of `{q}`");
+    }
+    let union = "select x.B from x in R where x.A = 1 or select y.B from y in R";
+    assert_eq!(
+        co_service::canonical_union_fingerprint(&schema, union, 128).unwrap().to_string(),
+        "455e195b6c9d0563707cb3e05a7fffa6"
+    );
+    assert_eq!(fingerprint_schema(&flat).to_string(), "9d2ab87dce827eb0608ee8b7beba5be0");
+}

@@ -94,6 +94,16 @@ RSS=$(load_metric peak_rss_mb)
 printf '%s' "$LOAD_JSON" | grep -q '"correct": true' || { echo "live load: wrong verdicts"; exit 1; }
 awk -v p="$P50" -v r="$RSS" 'BEGIN { exit !(p != "" && r != "" && p + 0 < 5 && r + 0 < 10) }' \
     || { echo "live load: p50 ${P50:-?} ms, peak RSS ${RSS:-?} MB (limits 5 ms, 10 MB)"; exit 1; }
+# The same stream through coqld-router in front of three shards
+# (DESIGN.md §13): a router front-end or verb regression fails here.
+echo "==> live fleet load check (fleet_dup: correct, p50 < 5 ms)"
+LOAD_JSON=$("${CARGO_TARGET_DIR:-loadbench/target}/release/co-load" \
+    --workload fleet_dup --seed 1 --seconds 3 --trace 0 | tail -n 1)
+echo "$LOAD_JSON"
+P50=$(load_metric latency_p50_ms)
+printf '%s' "$LOAD_JSON" | grep -q '"correct": true' || { echo "live fleet load: wrong verdicts"; exit 1; }
+awk -v p="$P50" 'BEGIN { exit !(p != "" && p + 0 < 5) }' \
+    || { echo "live fleet load: p50 ${P50:-?} ms (limit 5 ms)"; exit 1; }
 
 echo "==> live METRICS scrape (parseable exposition, monotone counters)"
 ./target/release/coqld --listen 127.0.0.1:0 --kernel-threads 2 >target/coqld-verify.log 2>&1 &
