@@ -40,7 +40,8 @@ use std::fmt;
 
 use co_cq::{Database, Schema};
 use co_lang::{
-    empty_set_status, normalize, type_check, CoDatabase, CoqlSchema, EmptySetStatus, Expr,
+    empty_set_status, normalize, type_check, CoDatabase, Comprehension, CoqlSchema, EmptySetStatus,
+    Expr,
 };
 use co_object::interrupt::{self, SharedBudget};
 use co_object::{hoare_leq, par, Type};
@@ -123,8 +124,6 @@ impl std::error::Error for CoreError {}
 /// A COQL query prepared for the decision procedures.
 #[derive(Clone, Debug)]
 pub struct Prepared {
-    /// The original expression.
-    pub expr: Expr,
     /// Its result type.
     pub ty: Type,
     /// The flattened query tree.
@@ -149,7 +148,8 @@ pub struct PrepareOptions {
     pub minimize: bool,
 }
 
-/// [`prepare`] with explicit options.
+/// [`prepare`] with explicit options: type-checks and normalizes `expr`,
+/// then hands both to [`prepare_normalized`].
 pub fn prepare_with(
     expr: &Expr,
     schema: &Schema,
@@ -157,18 +157,42 @@ pub fn prepare_with(
 ) -> Result<Prepared, CoreError> {
     let coql_schema = CoqlSchema::from_flat(schema);
     let ty = type_check(expr, &coql_schema).map_err(|e| CoreError::Type(e.to_string()))?;
-    if !matches!(ty, Type::Set(_)) {
-        return Err(CoreError::Type(format!("query must be set-typed, found {ty}")));
-    }
+    // Reject a non-set type before normalizing so the error names the
+    // type rather than the normal form.
+    require_set_type(&ty)?;
     let nf = normalize(expr, &coql_schema).map_err(|e| CoreError::Normalize(e.to_string()))?;
-    let empty_status = empty_set_status(&nf);
-    let set_nodes = nf.set_node_count();
-    let mut tree =
-        co_encode::flatten_query(&nf, schema).map_err(|e| CoreError::Flatten(e.to_string()))?;
+    let mut prepared = prepare_normalized(ty, &nf, schema)?;
     if opts.minimize {
-        tree = co_sim::minimize_tree(&tree);
+        prepared.tree = co_sim::minimize_tree(&prepared.tree);
     }
-    Ok(Prepared { expr: expr.clone(), ty, tree, empty_status, set_nodes })
+    Ok(prepared)
+}
+
+/// Prepares a query from its result type `ty` and its normal form `nf`
+/// ([`co_lang::normalize`]), for callers that already type-checked and
+/// normalized it — a serving layer fingerprints the normal form, so it
+/// need not build either twice. Every other entry point goes through
+/// here.
+pub fn prepare_normalized(
+    ty: Type,
+    nf: &Comprehension,
+    schema: &Schema,
+) -> Result<Prepared, CoreError> {
+    require_set_type(&ty)?;
+    let empty_status = empty_set_status(nf);
+    let set_nodes = nf.set_node_count();
+    let tree =
+        co_encode::flatten_query(nf, schema).map_err(|e| CoreError::Flatten(e.to_string()))?;
+    Ok(Prepared { ty, tree, empty_status, set_nodes })
+}
+
+/// The decision procedures compare set-valued answers only.
+fn require_set_type(ty: &Type) -> Result<(), CoreError> {
+    if matches!(ty, Type::Set(_)) {
+        Ok(())
+    } else {
+        Err(CoreError::Type(format!("query must be set-typed, found {ty}")))
+    }
 }
 
 /// Decides `Q1 ⊑ Q2`: on every database, `⟦Q1⟧(D) ⊑ ⟦Q2⟧(D)` in the Hoare

@@ -25,7 +25,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Hard cap on kernel threads, even when configured explicitly.
 pub const MAX_KERNEL_THREADS: usize = 64;
@@ -56,6 +56,10 @@ pub fn kernel_threads() -> usize {
 /// Returns `1` on a pool worker (no nested fan-out). In auto mode, uses
 /// half the available parallelism, clamped to `1..=8`, so the serving
 /// layer's connection workers keep cores of their own.
+///
+/// The kernels call this once per tree node, hom search and union walk,
+/// so it must be cheap: the auto count is resolved once per process (see
+/// [`auto_threads`]).
 pub fn effective_threads() -> usize {
     if in_worker() {
         return 1;
@@ -64,7 +68,23 @@ pub fn effective_threads() -> usize {
     if configured != 0 {
         return configured.clamp(1, MAX_KERNEL_THREADS);
     }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    auto_threads()
+}
+
+/// The auto-mode thread count, resolved on first use and cached for the
+/// life of the process. `available_parallelism` reads the affinity mask
+/// and the cgroup CPU quota (several syscalls and file reads on Linux,
+/// about 12 µs on a 2-core VM), which would otherwise be paid on every
+/// kernel call.
+fn auto_threads() -> usize {
+    static AUTO: OnceLock<usize> = OnceLock::new();
+    *AUTO.get_or_init(|| {
+        auto_threads_for(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
+}
+
+/// The auto-mode formula: half of `cores`, clamped to `1..=8`.
+fn auto_threads_for(cores: usize) -> usize {
     (cores / 2).clamp(1, 8)
 }
 
@@ -214,6 +234,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// Serializes the tests that change the process-global thread count.
+    static GLOBAL_THREADS: Mutex<()> = Mutex::new(());
+
     #[test]
     fn all_items_are_processed_exactly_once() {
         let seen = AtomicUsize::new(0);
@@ -270,6 +293,7 @@ mod tests {
 
     #[test]
     fn configured_threads_round_trip() {
+        let _serial = GLOBAL_THREADS.lock().unwrap_or_else(|e| e.into_inner());
         let prev = kernel_threads();
         set_kernel_threads(5);
         assert_eq!(kernel_threads(), 5);
@@ -277,5 +301,33 @@ mod tests {
         set_kernel_threads(0);
         assert!(effective_threads() >= 1);
         set_kernel_threads(prev);
+    }
+
+    #[test]
+    fn auto_threads_follow_the_documented_formula() {
+        for (cores, want) in [(1, 1), (2, 1), (3, 1), (4, 2), (8, 4), (16, 8), (64, 8)] {
+            assert_eq!(auto_threads_for(cores), want, "{cores} cores");
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(auto_threads(), auto_threads_for(cores));
+    }
+
+    #[test]
+    fn auto_effective_threads_is_cheap() {
+        // Resolving the auto count costs an `available_parallelism` call
+        // (about 12 µs each on a 2-core VM, 1.2 s for this loop); cached,
+        // the loop is a few atomic loads per call.
+        let _serial = GLOBAL_THREADS.lock().unwrap_or_else(|e| e.into_inner());
+        let prev = kernel_threads();
+        set_kernel_threads(0);
+        let start = std::time::Instant::now();
+        let mut sum = 0usize;
+        for _ in 0..100_000 {
+            sum += std::hint::black_box(effective_threads());
+        }
+        let elapsed = start.elapsed();
+        set_kernel_threads(prev);
+        assert!(sum >= 100_000);
+        assert!(elapsed.as_millis() < 50, "100k auto-mode calls took {elapsed:?}");
     }
 }

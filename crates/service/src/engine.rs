@@ -53,7 +53,8 @@ pub struct EngineConfig {
     /// instead of risking a stack overflow in the parser.
     pub max_parse_depth: usize,
     /// Intra-request kernel threads (`0` = auto: half the machine, capped
-    /// at 8, so kernel fan-out never starves the connection workers).
+    /// at 8, so kernel fan-out never starves the connection workers; the
+    /// auto count is resolved once per process, not per kernel call).
     /// Applied process-globally when the engine is built.
     pub kernel_threads: usize,
 }
@@ -633,8 +634,9 @@ impl Engine {
             co_lang::parse_coql_with_depth(text, self.max_parse_depth).map(|expr| vec![expr])
         }
         .map_err(|e| parse_error_message(&e))?;
+        let mut tys = Vec::with_capacity(exprs.len());
         for expr in &exprs {
-            co_lang::type_check(expr, &entry.coql).map_err(|e| e.to_string())?;
+            tys.push(co_lang::type_check(expr, &entry.coql).map_err(|e| e.to_string())?);
         }
         let parse_us = span.elapsed_us();
 
@@ -651,14 +653,15 @@ impl Engine {
         let fingerprint_us = span.elapsed_us();
 
         let span = Span::start();
-        let mut disjuncts = Vec::with_capacity(exprs.len());
-        for (expr, dfp) in exprs.iter().zip(fps) {
+        let mut disjuncts = Vec::with_capacity(nfs.len());
+        for ((ty, nf), dfp) in tys.into_iter().zip(&nfs).zip(fps) {
             let pkey = (entry.fp, dfp);
             let shared = match self.prepared.get(&pkey) {
                 Some(p) => p,
                 None => {
-                    let prepared =
-                        Arc::new(co_core::prepare(expr, &entry.flat).map_err(|e| e.to_string())?);
+                    let prepared = co_core::prepare_normalized(ty, nf, &entry.flat)
+                        .map(Arc::new)
+                        .map_err(|e| e.to_string())?;
                     // A racing thread may have inserted an equivalent
                     // Prepared; keep the first so every holder shares one
                     // allocation.
@@ -1337,6 +1340,66 @@ mod tests {
         }
         // 32 requests, 2 distinct keys.
         assert_eq!(e.stats().computed.load(Ordering::Relaxed), 2);
+    }
+
+    /// A prepared tree's text with its fresh variables (`ₑ<mint count>`)
+    /// renamed `v0, v1, …` in order of first appearance: two
+    /// normalizations of one query mint different counts but the same tree.
+    fn alpha(p: &Prepared) -> String {
+        let text = p.tree.to_string();
+        let mut names: Vec<&str> = Vec::new();
+        let mut out = String::new();
+        let mut rest = text.as_str();
+        while let Some(at) = rest.find('ₑ') {
+            out.push_str(&rest[..at]);
+            let tail = &rest[at + 'ₑ'.len_utf8()..];
+            let digits = tail.find(|c: char| !c.is_ascii_digit()).unwrap_or(tail.len());
+            let name = &rest[at..at + 'ₑ'.len_utf8() + digits];
+            let index = names.iter().position(|n| *n == name).unwrap_or_else(|| {
+                names.push(name);
+                names.len() - 1
+            });
+            out.push_str(&format!("v{index}"));
+            rest = &tail[digits..];
+        }
+        out.push_str(rest);
+        out
+    }
+
+    #[test]
+    fn prepared_from_the_normal_form_matches_core_prepare() {
+        let e = engine();
+        let entry = e.resolve_schema("s").unwrap();
+        let sides = [
+            // E13's flat and nested shapes, narrow and wide.
+            "select o.B from o in R where o.A = 7 and o.B = o.B",
+            "select o.B from o in R",
+            "select [a: o.A, g: (select i.C from i in S where i.C = o.A and i.C = 7)] from o in R",
+            "select [a: o.A, g: (select i.C from i in S where o.A = i.C)] from o in R",
+            // E14: a union of filtered disjuncts.
+            "select x.B from x in R where x.A = 3 or select y.B from y in R where 5 = y.A",
+            // co-core's nested, possibly-empty and redundant-generator queries.
+            "select [a: x.A, g: (select y.B from y in R where y.A = x.A and y.B = 10)] from x in R",
+            "select [g: (select y.C from y in S where y.C = x.B)] from x in R",
+            "select [a: x.A, g: (select y.B from y in R where y.A = x.A)] \
+             from x in R, z in R where z.A = x.A",
+            "flatten({R})",
+            // The empty set and an unsatisfiable body.
+            "{}",
+            "select x.B from x in R where x.A = 1 and x.A = 2",
+        ];
+        for text in sides {
+            let side = e.analyze(&entry, text, true, None).unwrap();
+            let exprs = co_lang::parse_union_coql(text).unwrap();
+            assert_eq!(side.disjuncts.len(), exprs.len(), "{text}");
+            for ((_, engine), expr) in side.disjuncts.iter().zip(&exprs) {
+                let core = co_core::prepare(expr, &entry.flat).unwrap();
+                assert_eq!(alpha(engine), alpha(&core), "{text}");
+                assert_eq!(engine.ty, core.ty, "{text}");
+                assert_eq!(engine.empty_status, core.empty_status, "{text}");
+                assert_eq!(engine.set_nodes, core.set_nodes, "{text}");
+            }
+        }
     }
 
     #[test]

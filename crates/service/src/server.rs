@@ -90,7 +90,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use co_cq::{RelSchema, Schema};
-use co_object::interrupt;
+use co_object::{interrupt, par};
 
 use co_trace::{kernel, Span};
 
@@ -1042,6 +1042,7 @@ fn render_stats(ctx: &ServerCtx) -> String {
     put("panics", stats.panics.load(Ordering::Relaxed).to_string());
     put("schemas", engine.schema_count().to_string());
     put("prepared", engine.prepared_count().to_string());
+    put("engine.kernel_threads", par::effective_threads().to_string());
     put("server.accepted", ctx.stats.accepted.load(Ordering::Relaxed).to_string());
     put("server.shed", ctx.stats.shed.load(Ordering::Relaxed).to_string());
     put("server.oversized", ctx.stats.oversized.load(Ordering::Relaxed).to_string());
@@ -1178,6 +1179,12 @@ fn render_metrics(ctx: &ServerCtx) -> String {
         "coqld_prepared_queries",
         "Distinct prepared queries shared",
         engine.prepared_count() as i64,
+    );
+    put_gauge(
+        out,
+        "coqld_kernel_threads",
+        "Threads each decision kernel may use (auto resolved once per process)",
+        par::effective_threads() as i64,
     );
 
     put_counter(
@@ -1384,6 +1391,23 @@ mod tests {
     }
 
     #[test]
+    fn non_set_queries_are_refused_by_normalization() {
+        let c = ctx();
+        line(&c, "SCHEMA s R(A,B)");
+        let reply = line(&c, "CHECK s 1 ;; select x.B from x in R");
+        assert_eq!(
+            reply,
+            "ERR normalization error: query must be set-typed, normal form was Atom(Const(1))"
+        );
+        let reply = line(&c, "UCHECK s select x.B from x in R ;; [a: 1]");
+        assert_eq!(
+            reply,
+            "ERR normalization error: query must be set-typed, \
+             normal form was Record([(a, Atom(Const(1)))])"
+        );
+    }
+
+    #[test]
     fn errors_are_single_lines() {
         let c = ctx();
         for bad in [
@@ -1555,9 +1579,17 @@ mod tests {
             "coqld_path_latency_us",
             "coqld_kernel_hom_probes_total",
             "coqld_server_slow_requests_total",
+            "coqld_kernel_threads",
         ] {
             assert!(text.contains(&format!("# TYPE {family} ")), "missing {family}");
         }
+        // The resolved kernel thread count, never the `0` of auto mode,
+        // and the same in both expositions.
+        let threads = par::effective_threads();
+        assert!(threads >= 1);
+        assert!(text.contains(&format!("\ncoqld_kernel_threads {threads}\n")), "{text}");
+        let stats = line(&c, "STATS");
+        assert!(stats.contains(&format!("\nengine.kernel_threads {threads}\n")), "{stats}");
         // Every sample line has a valid name and a numeric value.
         for l in text.lines().filter(|l| !l.starts_with('#') && !l.is_empty()) {
             let (series, value) = l.rsplit_once(' ').expect("name value");

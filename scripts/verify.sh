@@ -104,6 +104,17 @@ P50=$(load_metric latency_p50_ms)
 printf '%s' "$LOAD_JSON" | grep -q '"correct": true' || { echo "live fleet load: wrong verdicts"; exit 1; }
 awk -v p="$P50" 'BEGIN { exit !(p != "" && p + 0 < 5) }' \
     || { echo "live fleet load: p50 ${P50:-?} ms (limit 5 ms)"; exit 1; }
+# The cache-miss stream (a working set far larger than the memo): the one
+# live gate whose verdicts and CERT certificates come from the decision
+# kernels under load, so a kernel or prepare regression fails here.
+echo "==> live miss-path load check (cold_evict: correct, p50 < 5 ms)"
+LOAD_JSON=$("${CARGO_TARGET_DIR:-loadbench/target}/release/co-load" \
+    --workload cold_evict --seed 1 --seconds 3 --trace 0 | tail -n 1)
+echo "$LOAD_JSON"
+P50=$(load_metric latency_p50_ms)
+printf '%s' "$LOAD_JSON" | grep -q '"correct": true' || { echo "live miss-path load: wrong verdicts"; exit 1; }
+awk -v p="$P50" 'BEGIN { exit !(p != "" && p + 0 < 5) }' \
+    || { echo "live miss-path load: p50 ${P50:-?} ms (limit 5 ms)"; exit 1; }
 
 echo "==> live METRICS scrape (parseable exposition, monotone counters)"
 ./target/release/coqld --listen 127.0.0.1:0 --kernel-threads 2 >target/coqld-verify.log 2>&1 &

@@ -34,7 +34,8 @@ options:
   --workers <n>            batch-engine worker threads (default: cores)
   --kernel-threads <n>     intra-request kernel threads for one hard
                            decision (0 = auto: half the machine, capped at
-                           8 so the connection pool keeps cores; default 0)
+                           8 so the connection pool keeps cores, resolved
+                           once at the first decision; default 0)
   --max-connections <n>    concurrent connection cap; excess connections are
                            shed with ERR OVERLOADED (default 64)
   --default-timeout-ms <n> default per-request deadline for CHECK/EQUIV;
