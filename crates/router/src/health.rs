@@ -344,17 +344,16 @@ impl ProbeReport {
 /// against a shard whose pool is exhausted).
 pub fn probe(shard: &ShardState) -> io::Result<ProbeReport> {
     let mut conn = shard.pool.dial_oneshot()?;
-    conn.send_line("STATS")?;
-    let lines = conn.read_until("END")?;
+    let reply = conn.request("STATS")?;
     let _ = conn.send_line("QUIT");
-    Ok(parse_stats(&lines))
+    Ok(parse_stats(&reply))
 }
 
 /// Extracts the probe-relevant keys from a `STATS` payload; absent keys
 /// stay zero so probing an older build degrades to "version skew".
-pub fn parse_stats(lines: &[String]) -> ProbeReport {
+pub fn parse_stats(reply: &str) -> ProbeReport {
     let mut report = ProbeReport::default();
-    for line in lines {
+    for line in reply.lines() {
         let Some((key, value)) = line.split_once(' ') else { continue };
         match key {
             "uptime_seconds" => report.uptime = value.parse().unwrap_or(0),
@@ -591,17 +590,12 @@ mod tests {
 
     #[test]
     fn stats_parsing_tolerates_unknown_keys() {
-        let lines: Vec<String> = [
-            "decisions 42".to_string(),
-            "uptime_seconds 77".to_string(),
-            format!("build.format_version {FORMAT_VERSION}"),
-            format!("build.fingerprint_version {FINGERPRINT_VERSION}"),
-            "cache.entries 9".to_string(),
-            "some.future.key x".to_string(),
-        ]
-        .into_iter()
-        .collect();
-        let r = parse_stats(&lines);
+        let reply = format!(
+            "decisions 42\nuptime_seconds 77\nbuild.format_version {FORMAT_VERSION}\n\
+             build.fingerprint_version {FINGERPRINT_VERSION}\ncache.entries 9\n\
+             some.future.key x\nEND"
+        );
+        let r = parse_stats(&reply);
         assert_eq!(r.uptime, 77);
         assert_eq!(r.cache_entries, 9);
         assert!(r.versions_match());

@@ -37,7 +37,6 @@
 pub mod backoff;
 pub mod health;
 pub mod metrics;
-pub mod net;
 pub mod pool;
 pub mod proxy;
 pub mod ring;

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::net::LineConn;
+use co_service::wire::Conn;
 
 /// Pool knobs.
 #[derive(Clone, Copy, Debug)]
@@ -26,10 +26,10 @@ pub struct PoolConfig {
     pub io_timeout: Option<Duration>,
 }
 
-/// A bounded pool of [`LineConn`]s to one shard address.
+/// A bounded pool of [`Conn`]s to one shard address.
 pub struct Pool {
     addr: String,
-    idle: Mutex<Vec<LineConn>>,
+    idle: Mutex<Vec<Conn>>,
     live: AtomicUsize,
     config: PoolConfig,
 }
@@ -82,7 +82,7 @@ impl Pool {
             self.live.fetch_sub(1, Ordering::Relaxed);
             return Checkout::Exhausted;
         }
-        match LineConn::connect(&self.addr, self.config.connect_timeout, self.config.io_timeout) {
+        match Conn::connect(&self.addr, self.config.connect_timeout, self.config.io_timeout) {
             Ok(conn) => Checkout::Conn(PooledConn {
                 conn: Some(conn),
                 reused: false,
@@ -97,19 +97,19 @@ impl Pool {
 
     /// Dials outside the pool's `max_live` budget — for probes and
     /// control-plane traffic that must not compete with request traffic.
-    pub fn dial_oneshot(&self) -> io::Result<LineConn> {
-        LineConn::connect(&self.addr, self.config.connect_timeout, self.config.io_timeout)
+    pub fn dial_oneshot(&self) -> io::Result<Conn> {
+        Conn::connect(&self.addr, self.config.connect_timeout, self.config.io_timeout)
     }
 
     /// Drops every idle connection (a shard marked down holds no warm
     /// sockets to a dead address).
     pub fn drain_idle(&self) {
-        let drained: Vec<LineConn> =
+        let drained: Vec<Conn> =
             std::mem::take(&mut *self.idle.lock().unwrap_or_else(|e| e.into_inner()));
         self.live.fetch_sub(drained.len(), Ordering::Relaxed);
     }
 
-    fn put_back(&self, conn: LineConn) {
+    fn put_back(&self, conn: Conn) {
         let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
         if idle.len() < self.config.max_idle {
             idle.push(conn);
@@ -124,7 +124,7 @@ impl Pool {
 /// exchange, or just drop it (connection discarded, live count released)
 /// after an I/O error.
 pub struct PooledConn {
-    conn: Option<LineConn>,
+    conn: Option<Conn>,
     reused: bool,
     pool: Arc<Pool>,
 }
@@ -138,7 +138,7 @@ impl PooledConn {
     }
 
     /// The underlying connection.
-    pub fn conn(&mut self) -> &mut LineConn {
+    pub fn conn(&mut self) -> &mut Conn {
         self.conn.as_mut().expect("present until put_back")
     }
 

@@ -26,6 +26,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use co_lang::CoqlSchema;
+use co_service::wire::{self, Cmd, Conn, Framing, Side, Verb};
 use co_service::{
     canonical_fingerprint, canonical_union_fingerprint, fingerprint_schema, from_hex,
     parse_schema_decl, peek_header, read_bounded_line, write_line, Fingerprint, LineRead, Shutdown,
@@ -36,7 +37,6 @@ use co_trace::Span;
 use crate::backoff::JitteredBackoff;
 use crate::health::{apply_probe, probe, Admission, BreakerConfig, ShardState, Transition};
 use crate::metrics::{aggregate, inject_shard_label};
-use crate::net::LineConn;
 use crate::pool::{Checkout, PoolConfig, PooledConn};
 use crate::ring::{hash64, Ring};
 
@@ -291,8 +291,8 @@ impl Router {
         }
         let mut conn = shard.pool.dial_oneshot().map_err(|e| e.to_string())?;
         for (name, decl) in entries {
-            conn.send_line(&format!("SCHEMA {name} {decl}")).map_err(|e| e.to_string())?;
-            let reply = conn.read_line().map_err(|e| e.to_string())?;
+            let reply =
+                conn.request(&format!("SCHEMA {name} {decl}")).map_err(|e| e.to_string())?;
             if !reply.starts_with("OK") {
                 return Err(format!("shard {} rejected schema {name}: {reply}", shard.addr));
             }
@@ -325,9 +325,9 @@ impl Router {
     }
 
     /// Forwards one `CHECK`/`EQUIV`/`UCHECK`/`UEQUIV` line. `original` is
-    /// the full request line (budget prefixes intact); `rest` is the text
-    /// after the verb; `timeout_ms` the request's own `TIMEOUT` if any;
-    /// `union` selects the union-fingerprint pipeline for the route key.
+    /// the full request line (budget prefixes intact) and `request` its
+    /// parse; `union` selects the union-fingerprint pipeline for the
+    /// route key.
     ///
     /// The first [`RouterConfig::replication`] ring candidates form the
     /// key's replica set — determinism means any member's answer is THE
@@ -340,24 +340,11 @@ impl Router {
     fn forward_decision(
         self: &Arc<Router>,
         original: &str,
-        rest: &str,
-        explain: bool,
-        cert: bool,
-        timeout_ms: Option<u64>,
+        request: &wire::Parsed<'_>,
         union: bool,
     ) -> Result<String, String> {
         let route_span = Span::start();
-        let usage = if union {
-            "UCHECK|UEQUIV <schema> <q1> [or <q>]* ;; <q2> [or <q>]*"
-        } else {
-            "CHECK|EQUIV <schema> <q1> ;; <q2>"
-        };
-        let (schema_name, queries) = split_head(rest, usage)?;
-        let (q1, q2) = queries.split_once(";;").ok_or_else(|| format!("usage: {usage}"))?;
-        let (q1, q2) = (q1.trim(), q2.trim());
-        if q1.is_empty() || q2.is_empty() {
-            return Err(format!("usage: {usage}"));
-        }
+        let (schema_name, q1, q2) = request.verb.split_pair(request.rest)?;
         let entry = read(&self.schemas).get(schema_name).cloned().ok_or_else(|| {
             format!("unknown schema `{schema_name}` (register it with SCHEMA first)")
         })?;
@@ -377,10 +364,9 @@ impl Router {
         let fp2 = fingerprint(q2).map_err(|e| self.local_error(e))?;
         let key = Router::route_key(entry.fp, fp1, fp2);
         let route_us = route_span.elapsed_us();
-        let (win, shard, forward_us) =
-            self.forward_keyed(key, original, explain || cert, timeout_ms)?;
+        let (win, shard, forward_us) = self.forward_keyed(key, original, request)?;
         let mut reply = win.reply;
-        if explain && reply.ends_with("END") {
+        if request.prefixes.explain && reply.ends_with("END") {
             // Splice the router's own phases in before END.
             reply.truncate(reply.len() - "END".len());
             reply.push_str(&format!(
@@ -395,15 +381,15 @@ impl Router {
         Ok(reply)
     }
 
-    /// Forwards `original` to the ring candidates of `key` — sequentially
-    /// or hedged, per [`RouterConfig::hedge_after`] — and returns the
-    /// winning reply with the shard that gave it and the forward time.
+    /// Forwards `original` (parsed as `request`) to the ring candidates of
+    /// `key` — sequentially or hedged, per [`RouterConfig::hedge_after`] —
+    /// and returns the winning reply with the shard that gave it and the
+    /// forward time.
     fn forward_keyed(
         self: &Arc<Router>,
         key: u64,
         original: &str,
-        multiline: bool,
-        timeout_ms: Option<u64>,
+        request: &wire::Parsed<'_>,
     ) -> Result<(ForwardWin, Arc<ShardState>, u64), String> {
         let candidates = self.candidates(key);
         let total = candidates.len();
@@ -415,16 +401,17 @@ impl Router {
         }
         self.stats.decision_requests.fetch_add(1, Ordering::Relaxed);
 
-        let reply_wait = match timeout_ms {
+        let reply_wait = match request.prefixes.timeout(None) {
             // The shard should answer ERR DEADLINE itself; the slack only
             // covers transit so a hung shard cannot hold the client.
-            Some(ms) => Duration::from_millis(ms + 500),
+            Some(timeout) => timeout + Duration::from_millis(500),
             None => self.config.forward_timeout,
         };
+        let framing = request.framing();
         let forward_span = Span::start();
         let won = match self.config.hedge_after {
-            None => self.forward_sequential(&candidates, original, multiline, reply_wait, key),
-            Some(after) => self.forward_hedged(&candidates, original, multiline, reply_wait, after),
+            None => self.forward_sequential(&candidates, original, framing, reply_wait, key),
+            Some(after) => self.forward_hedged(&candidates, original, framing, reply_wait, after),
         };
         match won {
             Ok(win) => {
@@ -451,7 +438,7 @@ impl Router {
         &self,
         candidates: &[Arc<ShardState>],
         line: &str,
-        multiline: bool,
+        framing: Framing,
         reply_wait: Duration,
         key: u64,
     ) -> Result<ForwardWin, usize> {
@@ -474,7 +461,7 @@ impl Router {
                 if launched > 1 {
                     self.stats.retries.fetch_add(1, Ordering::Relaxed);
                 }
-                match self.attempt_one(shard, line, multiline, reply_wait) {
+                match self.attempt_one(shard, line, framing, reply_wait) {
                     ForwardOutcome::Answered(reply) => {
                         return Ok(ForwardWin { reply, idx, launched, hedged: false });
                     }
@@ -501,7 +488,7 @@ impl Router {
         self: &Arc<Router>,
         candidates: &[Arc<ShardState>],
         line: &str,
-        multiline: bool,
+        framing: Framing,
         reply_wait: Duration,
         hedge_after: Duration,
     ) -> Result<ForwardWin, usize> {
@@ -526,7 +513,7 @@ impl Router {
                 let line = line.to_string();
                 let tx = tx.clone();
                 thread::spawn(move || {
-                    let outcome = router.attempt_one(&shard, &line, multiline, reply_wait);
+                    let outcome = router.attempt_one(&shard, &line, framing, reply_wait);
                     let _ = tx.send((hedge, idx, outcome));
                 });
                 return true;
@@ -621,17 +608,17 @@ impl Router {
 
     /// One forward attempt against one shard, including the
     /// reused-connection redial and the unknown-schema heal, reporting
-    /// the outcome to the shard's breaker. `multiline` means the shard
-    /// answers an `END`-terminated body on `OK` (`EXPLAIN`/`CERT`).
+    /// the outcome to the shard's breaker. `framing` is the request's
+    /// resolved reply framing.
     fn attempt_one(
         &self,
         shard: &Arc<ShardState>,
         line: &str,
-        multiline: bool,
+        framing: Framing,
         reply_wait: Duration,
     ) -> ForwardOutcome {
         shard.attempts.fetch_add(1, Ordering::Relaxed);
-        let mut redialed = false;
+        let (mut redialed, mut healed) = (false, false);
         loop {
             let mut pooled = match shard.pool.checkout() {
                 Checkout::Conn(conn) => conn,
@@ -644,7 +631,7 @@ impl Router {
                 }
             };
             let reused = pooled.reused();
-            match self.exchange(&mut pooled, line, multiline, Some(reply_wait)) {
+            match self.exchange(&mut pooled, line, framing, reply_wait) {
                 Ok(Exchange::Reply(reply)) => {
                     pooled.put_back();
                     shard.breaker.record_success();
@@ -659,23 +646,30 @@ impl Router {
                     shard.breaker.record_success();
                     return ForwardOutcome::Shed;
                 }
-                Ok(Exchange::UnknownSchema) => {
+                Ok(Exchange::UnknownSchema(reply)) => {
+                    shard.breaker.record_success();
+                    if healed {
+                        // The shard holds every schema this router knows,
+                        // so the router does not know this one either: the
+                        // shard's answer is the answer.
+                        pooled.put_back();
+                        return ForwardOutcome::Answered(reply);
+                    }
                     // The shard missed a broadcast (it was down or just
                     // joined); heal it and retry once on the same shard —
                     // affinity is worth one extra round-trip.
                     drop(pooled);
-                    shard.breaker.record_success();
-                    if !redialed && self.push_schemas(shard).is_ok() {
-                        redialed = true;
+                    if self.push_schemas(shard).is_ok() {
+                        healed = true;
                         continue;
                     }
                     return ForwardOutcome::Shed;
                 }
                 Err(_) => {
-                    // I/O failure or garbled reply: the connection is
-                    // poisoned, drop it. A *reused* connection may just
-                    // have been a stale socket from before a shard
-                    // restart — one fresh dial decides.
+                    // I/O failure, oversized line or garbled reply: the
+                    // connection is poisoned, drop it. A *reused*
+                    // connection may just have been a stale socket from
+                    // before a shard restart — one fresh dial decides.
                     drop(pooled);
                     if reused && !redialed {
                         redialed = true;
@@ -708,40 +702,31 @@ impl Router {
         &self,
         pooled: &mut PooledConn,
         line: &str,
-        multiline: bool,
-        reply_wait: Option<Duration>,
+        framing: Framing,
+        reply_wait: Duration,
     ) -> io::Result<Exchange> {
         let conn = pooled.conn();
-        conn.set_read_timeout(reply_wait)?;
+        conn.set_read_timeout(Some(reply_wait))?;
         conn.send_line(line)?;
-        let first = conn.read_line()?;
+        let reply = conn.read_reply(framing)?;
         // Every coqld reply starts `OK` or `ERR`; anything else means the
         // bytes were corrupted in flight (or the peer is not a coqld).
         // Treat it as a poisoned connection, never as an answer —
         // forwarding it could hand the client a wrong verdict.
-        if !(first.starts_with("OK") || first.starts_with("ERR")) {
-            let head: String = first.chars().take(40).collect();
+        if !(reply.starts_with("OK") || reply.starts_with("ERR")) {
+            let head: String = reply.chars().take(40).collect();
             return Err(io::Error::new(
                 ErrorKind::InvalidData,
                 format!("garbled reply from shard: `{head}`"),
             ));
         }
-        if first.starts_with("ERR OVERLOADED") {
+        if reply.starts_with("ERR OVERLOADED") {
             return Ok(Exchange::Overloaded);
         }
-        if first.starts_with("ERR unknown schema") {
-            return Ok(Exchange::UnknownSchema);
+        if reply.starts_with("ERR unknown schema") {
+            return Ok(Exchange::UnknownSchema(reply));
         }
-        if multiline && first.starts_with("OK") {
-            let mut reply = first;
-            for l in conn.read_until("END")? {
-                reply.push('\n');
-                reply.push_str(&l);
-            }
-            reply.push_str("\nEND");
-            return Ok(Exchange::Reply(reply));
-        }
-        Ok(Exchange::Reply(first))
+        Ok(Exchange::Reply(reply))
     }
 
     fn local_error(&self, message: String) -> String {
@@ -751,8 +736,8 @@ impl Router {
 
     /// `FINGERPRINT <schema> <query>`, computed locally — byte-identical
     /// to what any shard would answer, since both run the same pipeline.
-    fn fingerprint_local(&self, rest: &str) -> Result<String, String> {
-        let (schema_name, query) = split_head(rest, "FINGERPRINT <schema> <query>")?;
+    fn fingerprint_local(&self, verb: &Verb, rest: &str) -> Result<String, String> {
+        let (schema_name, query) = verb.split_head(rest)?;
         let entry = read(&self.schemas).get(schema_name).cloned().ok_or_else(|| {
             format!("unknown schema `{schema_name}` (register it with SCHEMA first)")
         })?;
@@ -972,10 +957,9 @@ impl Router {
     /// `HANDOFF <addr>`: verify the joining shard's build, push schemas,
     /// ship it the warmest donor's `COQLSNP1` snapshot (version-gated at
     /// both ends), then add it to the ring.
-    fn handoff(&self, addr: &str) -> Result<String, String> {
-        let addr = addr.trim();
+    fn handoff(&self, verb: &Verb, addr: &str) -> Result<String, String> {
         if addr.is_empty() {
-            return Err("usage: HANDOFF <host:port>".to_string());
+            return Err(verb.usage_error());
         }
         if read(&self.fleet).shards.iter().any(|s| s.addr == addr) {
             return Err(format!("shard {addr} is already a fleet member"));
@@ -1042,62 +1026,41 @@ impl Router {
 
     fn handle_line(self: &Arc<Router>, raw: &str) -> Reply {
         let raw = raw.trim();
-        if raw.is_empty() || raw.starts_with('#') {
-            return Reply::None;
-        }
-        let (timeout_ms, explain, cert, line) = match scan_prefixes(raw) {
-            Ok(parsed) => parsed,
+        let request = match wire::parse(Side::Router, raw) {
+            Ok(Some(request)) => request,
+            Ok(None) => return Reply::None,
             Err(message) => return Reply::Line(format!("ERR {message}")),
         };
-        if line.is_empty() {
-            return Reply::Line(
-                "ERR usage: [CERT] [EXPLAIN] [TIMEOUT <ms>] [BUDGET <steps>] <command ...>".into(),
-            );
-        }
-        let (cmd, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
-        let rest = rest.trim();
-        let cmd = cmd.to_ascii_uppercase();
-        let decision_verb = matches!(cmd.as_str(), "CHECK" | "EQUIV" | "UCHECK" | "UEQUIV");
-        if explain && !decision_verb {
-            return Reply::Line(
-                "ERR EXPLAIN applies only to CHECK, EQUIV, UCHECK, and UEQUIV".into(),
-            );
-        }
-        if cert && !decision_verb {
-            return Reply::Line("ERR CERT applies only to CHECK, EQUIV, UCHECK, and UEQUIV".into());
-        }
-        let result = match cmd.as_str() {
-            "CHECK" | "EQUIV" => self.forward_decision(raw, rest, explain, cert, timeout_ms, false),
-            "UCHECK" | "UEQUIV" => {
-                self.forward_decision(raw, rest, explain, cert, timeout_ms, true)
-            }
+        let (verb, rest) = (request.verb, request.rest);
+        let result = match verb.cmd {
+            Cmd::Check | Cmd::Equiv => self.forward_decision(raw, &request, false),
+            Cmd::UCheck | Cmd::UEquiv => self.forward_decision(raw, &request, true),
             // No router-side parser for these: route on a hash of the
             // request text after its prefixes, so a repeat reaches the same
             // shard (any shard's answer is the answer).
-            "AGG" | "NEST" => self
-                .forward_keyed(hash64(line.as_bytes()), raw, false, timeout_ms)
+            Cmd::Agg | Cmd::Nest => self
+                .forward_keyed(hash64(request.command.as_bytes()), raw, &request)
                 .map(|(win, ..)| win.reply),
-            "FINGERPRINT" => self.fingerprint_local(rest),
-            "SCHEMA" => split_head(rest, "SCHEMA <name> <decl>").and_then(|(name, decl)| {
+            Cmd::Fingerprint => self.fingerprint_local(verb, rest),
+            Cmd::Schema => verb.split_head(rest).and_then(|(name, decl)| {
                 self.register_schema(name, decl).map(|(fp, relations, acked, total)| {
                     format!("OK schema={name} fp={fp} relations={relations} shards={acked}/{total}")
                 })
             }),
-            "STATS" => Ok(self.render_stats()),
-            "METRICS" => Ok(self.render_metrics()),
-            "SHARDS" => Ok(self.render_shards()),
-            "HANDOFF" => self.handoff(rest),
-            "SHUTDOWN" => {
+            Cmd::Stats => Ok(self.render_stats()),
+            Cmd::Metrics => Ok(self.render_metrics()),
+            Cmd::Shards => Ok(self.render_shards()),
+            Cmd::Handoff => self.handoff(verb, rest),
+            Cmd::Shutdown => {
                 if self.config.allow_shutdown {
                     return Reply::Shutdown;
                 }
-                Err("SHUTDOWN is disabled (start coqld-router with --allow-shutdown)".to_string())
+                Err(wire::disabled(Side::Router, verb))
             }
-            "QUIT" | "EXIT" => return Reply::Quit,
-            other => Err(format!(
-                "unknown command `{other}` (try CHECK, EQUIV, UCHECK, UEQUIV, AGG, NEST, \
-                 FINGERPRINT, SCHEMA, STATS, METRICS, SHARDS, HANDOFF, SHUTDOWN, QUIT)"
-            )),
+            Cmd::Quit => return Reply::Quit,
+            Cmd::SnapExport | Cmd::SnapBegin | Cmd::SnapData | Cmd::SnapCommit | Cmd::SnapAbort => {
+                unreachable!("wire::parse admits only router verbs")
+            }
         };
         match result {
             Ok(text) => Reply::Line(text),
@@ -1163,24 +1126,27 @@ struct ForwardWin {
 enum Exchange {
     Reply(String),
     Overloaded,
-    UnknownSchema,
+    /// `ERR unknown schema …`, with the reply.
+    UnknownSchema(String),
 }
 
 /// Scrapes one shard's `METRICS` over a one-shot control connection.
 fn scrape_shard(shard: &ShardState) -> io::Result<String> {
     let mut conn = shard.pool.dial_oneshot()?;
-    conn.send_line("METRICS")?;
-    let lines = conn.read_until("# EOF")?;
+    let reply = conn.request("METRICS")?;
     let _ = conn.send_line("QUIT");
-    Ok(lines.join("\n"))
+    let body = reply.strip_suffix("# EOF").unwrap_or(&reply);
+    Ok(body.strip_suffix('\n').unwrap_or(body).to_string())
 }
 
 /// Pulls a `SNAPEXPORT` payload off a donor shard; returns the verified
 /// raw bytes and the entry count the donor declared.
 fn export_from(donor: &ShardState) -> Result<(Vec<u8>, u64), String> {
     let mut conn = donor.pool.dial_oneshot().map_err(|e| e.to_string())?;
-    conn.send_line("SNAPEXPORT").map_err(|e| e.to_string())?;
-    let head = conn.read_line().map_err(|e| e.to_string())?;
+    let reply = conn.request("SNAPEXPORT").map_err(|e| e.to_string())?;
+    let _ = conn.send_line("QUIT");
+    let mut lines = reply.lines();
+    let head = lines.next().unwrap_or("");
     if !head.starts_with("OK ") {
         return Err(format!("donor {} refused SNAPEXPORT: {head}", donor.addr));
     }
@@ -1192,8 +1158,7 @@ fn export_from(donor: &ShardState) -> Result<(Vec<u8>, u64), String> {
     let declared = field("bytes=")
         .ok_or_else(|| format!("donor {} export header malformed: {head}", donor.addr))?;
     let entries = field("entries=").unwrap_or(0);
-    let hex: String = conn.read_until("END").map_err(|e| e.to_string())?.concat();
-    let _ = conn.send_line("QUIT");
+    let hex: String = lines.take_while(|l| *l != "END").collect();
     let bytes = from_hex(&hex).map_err(|e| format!("donor {} payload: {e}", donor.addr))?;
     if bytes.len() as u64 != declared {
         return Err(format!(
@@ -1210,9 +1175,8 @@ fn export_from(donor: &ShardState) -> Result<(Vec<u8>, u64), String> {
 /// entry count the joiner reported.
 fn push_snapshot(joiner: &ShardState, bytes: &[u8]) -> Result<u64, String> {
     let mut conn = joiner.pool.dial_oneshot().map_err(|e| e.to_string())?;
-    let expect_ok = |conn: &mut LineConn, line: String| -> Result<String, String> {
-        conn.send_line(&line).map_err(|e| e.to_string())?;
-        let reply = conn.read_line().map_err(|e| e.to_string())?;
+    let expect_ok = |conn: &mut Conn, line: String| -> Result<String, String> {
+        let reply = conn.request(&line).map_err(|e| e.to_string())?;
         if reply.starts_with("OK") {
             Ok(reply)
         } else {
@@ -1235,53 +1199,6 @@ fn push_snapshot(joiner: &ShardState, bytes: &[u8]) -> Result<u64, String> {
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(0);
     Ok(imported)
-}
-
-/// Extracts `TIMEOUT <ms>` / `BUDGET <steps>` / `EXPLAIN` / `CERT`
-/// prefixes without consuming them from the forwarded line: the router
-/// needs the timeout (to bound its reply wait) and the explain/cert flags
-/// (to read the shard's multi-line reply and splice its phases in), the
-/// shard re-parses the originals itself.
-fn scan_prefixes(line: &str) -> Result<(Option<u64>, bool, bool, &str), String> {
-    let mut timeout = None;
-    let mut explain = false;
-    let mut cert = false;
-    let mut rest = line;
-    loop {
-        let (head, tail) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
-        let upper = head.to_ascii_uppercase();
-        if upper == "EXPLAIN" {
-            explain = true;
-            rest = tail.trim_start();
-            continue;
-        }
-        if upper == "CERT" {
-            cert = true;
-            rest = tail.trim_start();
-            continue;
-        }
-        if upper != "TIMEOUT" && upper != "BUDGET" {
-            return Ok((timeout, explain, cert, rest));
-        }
-        let tail = tail.trim_start();
-        let (value, after) = tail.split_once(char::is_whitespace).unwrap_or((tail, ""));
-        let n: u64 = value
-            .parse()
-            .map_err(|_| format!("usage: {upper} <n> <command ...> (got `{value}`)"))?;
-        if upper == "TIMEOUT" {
-            timeout = if n == 0 { None } else { Some(n) };
-        }
-        rest = after.trim_start();
-    }
-}
-
-/// Splits `<head> <tail>`, erroring with a usage hint when `tail` is
-/// missing (mirrors the shard protocol's messages).
-fn split_head<'a>(rest: &'a str, usage: &str) -> Result<(&'a str, &'a str), String> {
-    match rest.split_once(char::is_whitespace) {
-        Some((head, tail)) if !tail.trim().is_empty() => Ok((head, tail.trim())),
-        _ => Err(format!("usage: {usage}")),
-    }
 }
 
 fn read<T>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
@@ -1423,20 +1340,5 @@ mod tests {
         assert_eq!(Router::route_key(s, a, b), Router::route_key(s, b, a));
         assert_ne!(Router::route_key(s, a, b), Router::route_key(Fingerprint(8), a, b));
         assert_ne!(Router::route_key(s, a, b), Router::route_key(s, a, Fingerprint(2_001)));
-    }
-
-    #[test]
-    fn prefix_scan_mirrors_the_shard_parser() {
-        let (t, e, c, rest) = scan_prefixes("TIMEOUT 250 BUDGET 9 CHECK s a ;; b").unwrap();
-        assert_eq!(t, Some(250));
-        assert!(!e);
-        assert!(!c);
-        assert_eq!(rest, "CHECK s a ;; b");
-        let (t, e, c, rest) = scan_prefixes("CERT EXPLAIN TIMEOUT 0 CHECK s a ;; b").unwrap();
-        assert_eq!(t, None);
-        assert!(e);
-        assert!(c);
-        assert_eq!(rest, "CHECK s a ;; b");
-        assert!(scan_prefixes("TIMEOUT nope CHECK").is_err());
     }
 }

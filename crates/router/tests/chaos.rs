@@ -12,13 +12,13 @@
 //! in-process shard (and consumed by probe replies too), so the tests
 //! serialize on a mutex and disarm everything on entry and exit.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
 use co_router::{serve_router_with_shutdown, Router, RouterConfig};
+use co_service::wire::Conn;
 use co_service::{faults, serve_with_shutdown, Engine, EngineConfig, ServerConfig, Shutdown};
 
 /// Serializes the chaos tests: the fault counters are process statics.
@@ -93,46 +93,6 @@ fn chaos_config() -> RouterConfig {
     }
 }
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        Client { reader: BufReader::new(stream.try_clone().unwrap()), writer: stream }
-    }
-
-    fn send(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply");
-        reply.trim_end().to_string()
-    }
-
-    fn stat(&mut self, key: &str) -> u64 {
-        let first = self.send("STATS");
-        let mut lines = vec![first];
-        loop {
-            let mut l = String::new();
-            self.reader.read_line(&mut l).expect("read STATS");
-            let l = l.trim_end().to_string();
-            if l == "END" {
-                break;
-            }
-            lines.push(l);
-        }
-        lines
-            .iter()
-            .find_map(|l| l.strip_prefix(&format!("{key} ")))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("STATS has no numeric `{key}`: {lines:?}"))
-    }
-}
-
 const SCHEMA: &str = "SCHEMA app R(A,B); S(C)";
 
 /// The k-th semantic pair: `filtered-by-k ⊑ all` — holds. Reversed, it
@@ -145,18 +105,28 @@ fn fails_pair(k: usize) -> String {
     format!("CHECK app select x.B from x in R ;; select x.B from x in R where x.A = {k}")
 }
 
+/// One numeric `STATS` value.
+fn stat(conn: &mut Conn, key: &str) -> u64 {
+    let stats = conn.request("STATS").unwrap();
+    stats
+        .lines()
+        .find_map(|l| l.strip_prefix(key).and_then(|v| v.strip_prefix(' ')))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("STATS has no numeric `{key}`: {stats}"))
+}
+
 /// Registers the schema and runs a couple of clean warmup decisions
 /// BEFORE any fault is armed, so schema broadcast cannot be sabotaged.
-fn warm(c: &mut Client) {
-    assert!(c.send(SCHEMA).starts_with("OK"), "schema registration");
-    assert!(c.send(&holds_pair(9_999)).starts_with("OK holds=true"));
+fn warm(c: &mut Conn) {
+    assert!(c.request(SCHEMA).unwrap().starts_with("OK"), "schema registration");
+    assert!(c.request(&holds_pair(9_999)).unwrap().starts_with("OK holds=true"));
 }
 
 #[test]
 fn drop_mid_reply_never_yields_a_wrong_verdict() {
     let _guard = lock_faults();
     let fleet = Fleet::start(3, chaos_config());
-    let mut c = Client::connect(fleet.router_addr);
+    let mut c = Conn::dial(fleet.router_addr).expect("connect");
     warm(&mut c);
 
     // Every 3rd reply (fleet-wide, probes included) is truncated halfway
@@ -165,9 +135,9 @@ fn drop_mid_reply_never_yields_a_wrong_verdict() {
     // never an answer.
     faults::set_reply_drop_every(3);
     for k in 0..15 {
-        let reply = c.send(&holds_pair(k));
+        let reply = c.request(&holds_pair(k)).unwrap();
         assert!(reply.starts_with("OK holds=true"), "k={k}: `{reply}`");
-        let reply = c.send(&fails_pair(k));
+        let reply = c.request(&fails_pair(k)).unwrap();
         assert!(reply.starts_with("OK holds=false"), "k={k} reversed: `{reply}`");
     }
     faults::reset();
@@ -176,10 +146,11 @@ fn drop_mid_reply_never_yields_a_wrong_verdict() {
     // fresh dial on the same shard (redial) or by failing over (shed) —
     // never by parsing the fragment.
     assert!(
-        c.stat("router.shed") + c.stat("router.redials") >= 1,
+        stat(&mut c, "router.shed") + stat(&mut c, "router.redials") >= 1,
         "drops should have forced redials or failovers"
     );
-    assert_eq!(c.stat("router.routed"), 31, "every request was answered");
+    assert_eq!(stat(&mut c, "router.routed"), 31, "every request was answered");
+    drop(c); // hang up first, so the router's drain ends at once
     fleet.stop();
 }
 
@@ -187,7 +158,7 @@ fn drop_mid_reply_never_yields_a_wrong_verdict() {
 fn garbled_replies_are_rejected_and_failed_over() {
     let _guard = lock_faults();
     let fleet = Fleet::start(3, chaos_config());
-    let mut c = Client::connect(fleet.router_addr);
+    let mut c = Conn::dial(fleet.router_addr).expect("connect");
     warm(&mut c);
 
     // Every 4th reply has its payload bytes XOR-corrupted (framing
@@ -196,17 +167,18 @@ fn garbled_replies_are_rejected_and_failed_over() {
     // reach the client as a confident wrong answer.
     faults::set_reply_garble_every(3);
     for k in 0..15 {
-        let reply = c.send(&holds_pair(k));
+        let reply = c.request(&holds_pair(k)).unwrap();
         assert!(reply.starts_with("OK holds=true"), "k={k}: `{reply}`");
-        let reply = c.send(&fails_pair(k));
+        let reply = c.request(&fails_pair(k)).unwrap();
         assert!(reply.starts_with("OK holds=false"), "k={k} reversed: `{reply}`");
     }
     faults::reset();
     assert!(
-        c.stat("router.shed") + c.stat("router.redials") >= 1,
+        stat(&mut c, "router.shed") + stat(&mut c, "router.redials") >= 1,
         "garbles should have forced redials or failovers"
     );
-    assert_eq!(c.stat("router.routed"), 31);
+    assert_eq!(stat(&mut c, "router.routed"), 31);
+    drop(c); // hang up first, so the router's drain ends at once
     fleet.stop();
 }
 
@@ -219,7 +191,7 @@ fn stalled_primaries_are_hedged_within_the_rate_cap() {
         ..chaos_config()
     };
     let fleet = Fleet::start(3, config);
-    let mut c = Client::connect(fleet.router_addr);
+    let mut c = Conn::dial(fleet.router_addr).expect("connect");
     warm(&mut c);
 
     // Every 2nd reply is delayed 600ms — far past the 80ms hedge
@@ -227,14 +199,14 @@ fn stalled_primaries_are_hedged_within_the_rate_cap() {
     // first wins, and the loser's (correct, late) reply is discarded.
     faults::set_reply_stall(2, 600);
     for k in 0..12 {
-        let reply = c.send(&holds_pair(k));
+        let reply = c.request(&holds_pair(k)).unwrap();
         assert!(reply.starts_with("OK holds=true"), "k={k}: `{reply}`");
     }
     faults::reset();
 
-    let decisions = c.stat("router.decision_requests");
-    let hedges = c.stat("router.hedges");
-    let wins = c.stat("router.hedge_wins");
+    let decisions = stat(&mut c, "router.decision_requests");
+    let hedges = stat(&mut c, "router.hedges");
+    let wins = stat(&mut c, "router.hedge_wins");
     assert!(hedges >= 1, "stalls past hedge_after must fire hedges");
     assert!(wins >= 1, "with ~half the fleet stalled, some hedge must win");
     assert!(wins <= hedges, "a win presupposes a hedge");
@@ -242,7 +214,8 @@ fn stalled_primaries_are_hedged_within_the_rate_cap() {
         hedges * 1000 <= decisions * 800 + 4_000,
         "hedges ({hedges}) exceeded the cap for {decisions} decisions"
     );
-    assert_eq!(c.stat("router.routed"), decisions, "every decision was answered");
+    assert_eq!(stat(&mut c, "router.routed"), decisions, "every decision was answered");
+    drop(c); // hang up first, so the router's drain ends at once
     fleet.stop();
 }
 
@@ -258,20 +231,21 @@ fn hedge_rate_cap_holds_under_fleet_wide_slowness() {
         ..chaos_config()
     };
     let fleet = Fleet::start(3, config);
-    let mut c = Client::connect(fleet.router_addr);
+    let mut c = Conn::dial(fleet.router_addr).expect("connect");
     warm(&mut c);
 
     faults::set_reply_stall(1, 300);
     for k in 0..12 {
-        let reply = c.send(&holds_pair(k));
+        let reply = c.request(&holds_pair(k)).unwrap();
         assert!(reply.starts_with("OK holds=true"), "k={k}: `{reply}`");
     }
     faults::reset();
 
-    let hedges = c.stat("router.hedges");
-    let capped = c.stat("router.hedges_capped");
+    let hedges = stat(&mut c, "router.hedges");
+    let capped = stat(&mut c, "router.hedges_capped");
     assert!(hedges <= 4, "cap 0‰ allows only the burst of 4, saw {hedges}");
     assert!(capped >= 1, "later hedge attempts must have been refused");
-    assert_eq!(c.stat("router.routed"), c.stat("router.decision_requests"));
+    assert_eq!(stat(&mut c, "router.routed"), stat(&mut c, "router.decision_requests"));
+    drop(c); // hang up first, so the router's drain ends at once
     fleet.stop();
 }

@@ -7,13 +7,13 @@
 //! failover past a killed shard, fleet `METRICS` aggregation, and warm
 //! `HANDOFF` of a new shard.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use co_router::{serve_router_with_shutdown, Router, RouterConfig};
+use co_service::wire::Conn;
 use co_service::{serve_with_shutdown, Engine, EngineConfig, ServerConfig, Shutdown};
 
 fn start_shard(allow_handoff: bool) -> (SocketAddr, Shutdown, thread::JoinHandle<()>) {
@@ -65,51 +65,6 @@ fn start_router(
     (addr, router, shutdown, handle)
 }
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        Client { reader: BufReader::new(stream.try_clone().unwrap()), writer: stream }
-    }
-
-    fn send(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply");
-        reply.trim_end().to_string()
-    }
-
-    fn read_until(&mut self, end: &str) -> Vec<String> {
-        let mut lines = Vec::new();
-        loop {
-            let mut l = String::new();
-            self.reader.read_line(&mut l).expect("read multi-line reply");
-            let l = l.trim_end().to_string();
-            if l == end {
-                return lines;
-            }
-            lines.push(l);
-        }
-    }
-
-    fn stat(&mut self, key: &str) -> u64 {
-        let first = self.send("STATS");
-        let mut lines = self.read_until("END");
-        lines.insert(0, first);
-        lines
-            .iter()
-            .find_map(|l| l.strip_prefix(&format!("{key} ")))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("STATS has no numeric `{key}`: {lines:?}"))
-    }
-}
-
 const SCHEMA: &str = "SCHEMA app R(A,B); S(C)";
 const VARS: [&str; 6] = ["x", "y", "z", "u", "v", "w"];
 
@@ -118,14 +73,29 @@ fn pair(k: usize, var: &str) -> String {
     format!("select {var}.B from {var} in R where {var}.A = {k} ;; select {var}.B from {var} in R")
 }
 
+/// The lines of one whole reply, terminator included.
+fn reply_lines(conn: &mut Conn, request: &str) -> Vec<String> {
+    conn.request(request).unwrap().lines().map(String::from).collect()
+}
+
+/// One numeric `STATS` value.
+fn stat(conn: &mut Conn, key: &str) -> u64 {
+    let stats = conn.request("STATS").unwrap();
+    stats
+        .lines()
+        .find_map(|l| l.strip_prefix(key).and_then(|v| v.strip_prefix(' ')))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("STATS has no numeric `{key}`: {stats}"))
+}
+
 #[test]
 fn affinity_verdicts_and_explain() {
     let shards: Vec<_> = (0..3).map(|_| start_shard(false)).collect();
     let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.0).collect();
-    let (router_addr, _router, stop, handle) = start_router(&addrs, test_config());
-    let mut c = Client::connect(router_addr);
+    let (router_addr, router, stop, handle) = start_router(&addrs, test_config());
+    let mut c = Conn::dial(router_addr).expect("connect");
 
-    let reply = c.send(SCHEMA);
+    let reply = c.request(SCHEMA).unwrap();
     assert!(reply.starts_with("OK schema=app fp="), "{reply}");
     assert!(reply.ends_with("relations=2 shards=3/3"), "{reply}");
 
@@ -134,14 +104,14 @@ fn affinity_verdicts_and_explain() {
     // ONE shard and hit its cache 5 times.
     for k in 0..4 {
         for var in VARS {
-            let reply = c.send(&format!("CHECK app {}", pair(k, var)));
+            let reply = c.request(&format!("CHECK app {}", pair(k, var))).unwrap();
             assert!(reply.starts_with("OK holds=true"), "{reply}");
         }
         // The reverse direction routes to the same shard too (the route
         // key is direction-invariant) and is its own cache entry.
         let reverse =
             format!("CHECK app select x.B from x in R ;; select x.B from x in R where x.A = {k}");
-        let reply = c.send(&reverse);
+        let reply = c.request(&reverse).unwrap();
         assert!(reply.starts_with("OK holds=false"), "{reply}");
     }
 
@@ -151,7 +121,7 @@ fn affinity_verdicts_and_explain() {
     let mut total_hits = 0;
     let mut shards_with_hits = 0;
     for addr in &addrs {
-        let hits = Client::connect(*addr).stat("cache.hits");
+        let hits = stat(&mut Conn::dial(*addr).expect("connect"), "cache.hits");
         total_hits += hits;
         shards_with_hits += u64::from(hits > 0);
     }
@@ -159,10 +129,11 @@ fn affinity_verdicts_and_explain() {
     assert!(shards_with_hits >= 1, "at least one shard saw the repeats");
 
     // EXPLAIN through the router: shard phases plus router phases.
-    let first =
-        c.send("EXPLAIN CHECK app select q.B from q in R where q.A = 0 ;; select q.B from q in R");
-    assert!(first.starts_with("OK holds=true"), "{first}");
-    let lines = c.read_until("END");
+    let lines = reply_lines(
+        &mut c,
+        "EXPLAIN CHECK app select q.B from q in R where q.A = 0 ;; select q.B from q in R",
+    );
+    assert!(lines[0].starts_with("OK holds=true"), "{lines:?}");
     for key in [
         "explain.parse_us",
         "explain.router.route_us",
@@ -173,8 +144,10 @@ fn affinity_verdicts_and_explain() {
         assert!(lines.iter().any(|l| l.starts_with(key)), "missing {key}: {lines:?}");
     }
 
+    drop(c); // hang up first, so the drains end at once
     stop.trigger();
     handle.join().unwrap();
+    drop(router); // closes its pooled connections
     for (_, s, h) in shards {
         s.trigger();
         h.join().unwrap();
@@ -186,21 +159,10 @@ fn affinity_verdicts_and_explain() {
 /// 44 ms per request (4.4 s for this loop).
 #[test]
 fn sequential_cached_checks_through_the_router_do_not_stall() {
-    use co_service::{read_bounded_line, write_line, LineRead};
     let (shard, shard_stop, shard_handle) = start_shard(false);
     let (router_addr, router, stop, handle) = start_router(&[shard], test_config());
-    let stream = TcpStream::connect(router_addr).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut exchange = |line: &str| {
-        write_line(&mut writer, line).unwrap();
-        match read_bounded_line(&mut reader, 1 << 16, None).unwrap() {
-            LineRead::Line(reply) => reply,
-            other => panic!("no reply line: {other:?}"),
-        }
-    };
+    let mut conn = Conn::dial(router_addr).expect("connect");
+    let mut exchange = |line: &str| conn.request(line).unwrap();
     assert!(exchange(SCHEMA).starts_with("OK"));
     let check = format!("CHECK app {}", pair(1, "x"));
     assert!(exchange(&check).starts_with("OK holds=true"));
@@ -222,13 +184,83 @@ fn sequential_cached_checks_through_the_router_do_not_stall() {
     shard_handle.join().unwrap();
 }
 
+/// A peer at a shard's address that answers every decision with one line
+/// of 2 MiB, twice the router's reply-line cap.
+fn oversized_reply_shard() -> SocketAddr {
+    use std::io::{BufRead, BufReader, Write};
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
+    let addr = listener.local_addr().unwrap();
+    thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            thread::spawn(move || {
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut writer = stream;
+                let mut line = String::new();
+                while reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+                    let reply = match line.split_whitespace().next().unwrap_or("") {
+                        "STATS" => format!(
+                            "uptime_seconds 1\nbuild.format_version {}\n\
+                             build.fingerprint_version {}\nEND\n",
+                            co_service::FORMAT_VERSION,
+                            co_service::FINGERPRINT_VERSION
+                        ),
+                        "SCHEMA" => "OK schema=app fp=0 relations=2\n".to_string(),
+                        "QUIT" => return,
+                        _ => format!("OK holds=true {}\n", "x".repeat(2 << 20)),
+                    };
+                    // The router hangs up after the cap; later writes fail.
+                    if writer.write_all(reply.as_bytes()).is_err() {
+                        return;
+                    }
+                    line.clear();
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn oversized_shard_replies_fail_the_attempt() {
+    let fake = oversized_reply_shard();
+    let (router_addr, _router, stop, handle) = start_router(&[fake], test_config());
+    let mut c = Conn::dial(router_addr).expect("connect");
+    assert!(c.request(SCHEMA).unwrap().starts_with("OK"));
+    let reply = c.request(&format!("CHECK app {}", pair(1, "x"))).unwrap();
+    assert!(reply.starts_with("ERR UNAVAILABLE"), "{}", &reply[..reply.len().min(80)]);
+    // Every attempt failed and was charged to the shard's breaker.
+    assert!(stat(&mut c, "router.shed") >= 1);
+    assert_eq!(stat(&mut c, "router.routed"), 0);
+    let shards = c.request("SHARDS").unwrap();
+    assert!(!shards.contains("failures=0 ") || shards.contains("state=open"), "{shards}");
+
+    // With a healthy sibling the same request fails over and is answered.
+    let (shard, shard_stop, shard_handle) = start_shard(false);
+    let (router2_addr, router2, stop2, handle2) = start_router(&[fake, shard], test_config());
+    let mut c2 = Conn::dial(router2_addr).expect("connect");
+    assert!(c2.request(SCHEMA).unwrap().starts_with("OK"));
+    for k in 0..8 {
+        let reply = c2.request(&format!("CHECK app {}", pair(k, "y"))).unwrap();
+        assert!(reply.starts_with("OK holds=true"), "{}", &reply[..reply.len().min(80)]);
+    }
+
+    drop((c, c2));
+    for (stop, handle) in [(stop, handle), (stop2, handle2)] {
+        stop.trigger();
+        handle.join().unwrap();
+    }
+    drop(router2); // closes its pooled connections, so the shard drains at once
+    shard_stop.trigger();
+    shard_handle.join().unwrap();
+}
+
 #[test]
 fn ucheck_duplicates_stay_cache_affine() {
     let shards: Vec<_> = (0..3).map(|_| start_shard(false)).collect();
     let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.0).collect();
-    let (router_addr, _router, stop, handle) = start_router(&addrs, test_config());
-    let mut c = Client::connect(router_addr);
-    assert!(c.send(SCHEMA).starts_with("OK"));
+    let (router_addr, router, stop, handle) = start_router(&addrs, test_config());
+    let mut c = Conn::dial(router_addr).expect("connect");
+    assert!(c.request(SCHEMA).unwrap().starts_with("OK"));
 
     // One semantic union pair, rendered six ways: permuted disjuncts,
     // α-renamed variables, and a duplicated disjunct. The order-invariant
@@ -249,7 +281,7 @@ fn ucheck_duplicates_stay_cache_affine() {
          ;; select y1.B from y1 in R",
     ];
     for (i, rendering) in renderings.iter().enumerate() {
-        let reply = c.send(&format!("UCHECK app {rendering}"));
+        let reply = c.request(&format!("UCHECK app {rendering}")).unwrap();
         assert!(reply.starts_with("OK holds=true"), "{reply}");
         let expect = if i == 0 { "cached=false" } else { "cached=true" };
         assert!(reply.contains(expect), "rendering {i} answered `{reply}`");
@@ -261,19 +293,18 @@ fn ucheck_duplicates_stay_cache_affine() {
     let mut total_hits = 0;
     let mut shards_with_entries = 0;
     for addr in &addrs {
-        let mut shard = Client::connect(*addr);
-        total_hits += shard.stat("unions.hits");
-        shards_with_entries += u64::from(shard.stat("cache.entries") > 0);
+        let mut shard = Conn::dial(*addr).expect("connect");
+        total_hits += stat(&mut shard, "unions.hits");
+        shards_with_entries += u64::from(stat(&mut shard, "cache.entries") > 0);
     }
     assert_eq!(total_hits, renderings.len() as u64 - 1, "every repeat must hit the same memo");
     assert_eq!(shards_with_entries, 1, "pair verdicts memoized on exactly one shard");
 
     // CERT UCHECK passes through the router multi-line, certificate
     // block intact and checkable.
-    let first = c.send(&format!("CERT UCHECK app {}", renderings[0]));
-    assert!(first.starts_with("OK holds=true"), "{first}");
-    let lines = c.read_until("END");
-    let body = lines.join("\n");
+    let lines = reply_lines(&mut c, &format!("CERT UCHECK app {}", renderings[0]));
+    assert!(lines[0].starts_with("OK holds=true"), "{lines:?}");
+    let body = lines[1..lines.len() - 1].join("\n");
     let cert = co_cert::UnionCert::parse(&body).expect("parse COUNION1 through router");
     assert!(cert.holds);
     assert_eq!(cert.left, 2);
@@ -281,29 +312,28 @@ fn ucheck_duplicates_stay_cache_affine() {
     // UEQUIV routes by the same unordered key: both directions of the
     // pair stay on the memoized shard (the backward direction is new, the
     // forward one is already hot).
-    let reply = c.send(
-        "UEQUIV app select x.B from x in R where x.A = 1 or select x.B from x in R \
+    let reply = c
+        .request(
+            "UEQUIV app select x.B from x in R where x.A = 1 or select x.B from x in R \
          ;; select y.B from y in R",
-    );
+        )
+        .unwrap();
     assert!(reply.starts_with("OK equivalent=true"), "{reply}");
 
     // Union parse errors are answered by the router locally.
     let before = {
-        let first = c.send("STATS");
-        let mut lines = c.read_until("END");
-        lines.insert(0, first);
+        let lines = reply_lines(&mut c, "STATS");
         lines
             .iter()
             .find_map(|l| l.strip_prefix("router.local_errors "))
             .and_then(|v| v.parse::<u64>().ok())
             .expect("router.local_errors present")
     };
-    let reply = c.send("UCHECK app select x.B from x in R or ;; select y.B from y in R");
+    let reply =
+        c.request("UCHECK app select x.B from x in R or ;; select y.B from y in R").unwrap();
     assert!(reply.starts_with("ERR"), "{reply}");
     let after = {
-        let first = c.send("STATS");
-        let mut lines = c.read_until("END");
-        lines.insert(0, first);
+        let lines = reply_lines(&mut c, "STATS");
         lines
             .iter()
             .find_map(|l| l.strip_prefix("router.local_errors "))
@@ -312,8 +342,10 @@ fn ucheck_duplicates_stay_cache_affine() {
     };
     assert_eq!(after, before + 1, "malformed union answered locally, no shard round-trip");
 
+    drop(c); // hang up first, so the drains end at once
     stop.trigger();
     handle.join().unwrap();
+    drop(router); // closes its pooled connections
     for (_, s, h) in shards {
         s.trigger();
         h.join().unwrap();
@@ -326,18 +358,18 @@ fn ucheck_duplicates_stay_cache_affine() {
 fn agg_and_nest_answer_exactly_as_the_shard() {
     let (shard, shard_stop, shard_handle) = start_shard(false);
     let (router_addr, router, stop, handle) = start_router(&[shard], test_config());
-    let mut via_router = Client::connect(router_addr);
-    assert!(via_router.send(SCHEMA).starts_with("OK"));
-    let mut direct = Client::connect(shard);
+    let mut via_router = Conn::dial(router_addr).expect("connect");
+    assert!(via_router.request(SCHEMA).unwrap().starts_with("OK"));
+    let mut direct = Conn::dial(shard).expect("connect");
     for line in [
         "AGG q(X) :- R(X,Y). | count(Y) ;; q(X) :- R(X,Z). | count(Z)",
         "NEST app R ; nest B as G ; unnest G ;; R",
     ] {
-        let want = direct.send(line);
+        let want = direct.request(line).unwrap();
         assert!(want.starts_with("OK "), "shard: {want}");
-        assert_eq!(via_router.send(line), want, "{line}");
+        assert_eq!(via_router.request(line).unwrap(), want, "{line}");
     }
-    assert!(via_router.send("FROB").contains("AGG, NEST"));
+    assert!(via_router.request("FROB").unwrap().contains("AGG, NEST"));
     drop((via_router, direct));
 
     stop.trigger();
@@ -356,17 +388,23 @@ fn multi_line_schemas_reach_the_shards_whole() {
     // A `--schema` file declares one relation per line.
     let (_, relations, acked, total) = router.register_schema("app", "R(A, B)\nS(C)").unwrap();
     assert_eq!((relations, acked, total), (2, 2, 2));
-    let mut c = Client::connect(router_addr);
-    let reply = c.send("CHECK app select y.C from y in S where y.C = 1 ;; select z.C from z in S");
+    let mut c = Conn::dial(router_addr).expect("connect");
+    let reply = c
+        .request("CHECK app select y.C from y in S where y.C = 1 ;; select z.C from z in S")
+        .unwrap();
     assert!(reply.starts_with("OK holds=true"), "{reply}");
     for addr in &addrs {
-        let reply = Client::connect(*addr)
-            .send("CHECK app select y.C from y in S ;; select z.C from z in S");
+        let reply = Conn::dial(*addr)
+            .expect("connect")
+            .request("CHECK app select y.C from y in S ;; select z.C from z in S")
+            .unwrap();
         assert!(reply.starts_with("OK holds=true"), "shard {addr}: {reply}");
     }
 
+    drop(c); // hang up first, so the drains end at once
     stop.trigger();
     handle.join().unwrap();
+    drop(router); // closes its pooled connections
     for (_, s, h) in shards {
         s.trigger();
         h.join().unwrap();
@@ -378,8 +416,8 @@ fn killed_shard_sheds_to_siblings_with_zero_wrong_verdicts() {
     let shards: Vec<_> = (0..3).map(|_| start_shard(false)).collect();
     let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.0).collect();
     let (router_addr, router, stop, handle) = start_router(&addrs, test_config());
-    let mut c = Client::connect(router_addr);
-    assert!(c.send(SCHEMA).starts_with("OK"));
+    let mut c = Conn::dial(router_addr).expect("connect");
+    assert!(c.request(SCHEMA).unwrap().starts_with("OK"));
 
     // Kill one shard outright, then keep serving. Every request must be
     // answered correctly — sheds and retries are allowed, wrong verdicts
@@ -388,7 +426,7 @@ fn killed_shard_sheds_to_siblings_with_zero_wrong_verdicts() {
     dead_stop.trigger();
     for k in 0..8 {
         for var in &VARS[..3] {
-            let reply = c.send(&format!("CHECK app {}", pair(k, var)));
+            let reply = c.request(&format!("CHECK app {}", pair(k, var))).unwrap();
             assert!(
                 reply.starts_with("OK holds=true"),
                 "request after shard kill answered `{reply}`"
@@ -400,9 +438,7 @@ fn killed_shard_sheds_to_siblings_with_zero_wrong_verdicts() {
     // SHARDS reports it down.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let first = c.send("SHARDS");
-        let mut lines = c.read_until("END");
-        lines.insert(0, first);
+        let lines = reply_lines(&mut c, "SHARDS");
         let dead_line = lines
             .iter()
             .find(|l| l.starts_with(&dead_addr.to_string()))
@@ -416,8 +452,10 @@ fn killed_shard_sheds_to_siblings_with_zero_wrong_verdicts() {
     }
     assert_eq!(router.shard_addrs().len(), 3, "membership is static; only liveness changed");
 
+    drop(c); // hang up first, so the drains end at once
     stop.trigger();
     handle.join().unwrap();
+    drop(router); // closes its pooled connections
     for (_, s, h) in shards {
         s.trigger();
         let _ = h.join();
@@ -433,14 +471,17 @@ fn open_breaker_cuts_traffic_then_recloses_after_restart() {
         breaker_max_open: Duration::from_millis(1600),
         ..test_config()
     };
-    let (router_addr, _router, stop, handle) = start_router(&addrs, config);
-    let mut c = Client::connect(router_addr);
-    assert!(c.send(SCHEMA).starts_with("OK"));
+    let (router_addr, router, stop, handle) = start_router(&addrs, config);
+    let mut c = Conn::dial(router_addr).expect("connect");
+    assert!(c.request(SCHEMA).unwrap().starts_with("OK"));
 
     // Warm six semantic pairs so the later hammer is all cache hits (the
     // breaker-window arithmetic below needs the hammer to be fast).
     for k in 0..6 {
-        assert!(c.send(&format!("CHECK app {}", pair(k, "x"))).starts_with("OK holds=true"));
+        assert!(c
+            .request(&format!("CHECK app {}", pair(k, "x")))
+            .unwrap()
+            .starts_with("OK holds=true"));
     }
 
     // Kill one shard; one failover round re-computes its pairs on
@@ -448,14 +489,15 @@ fn open_breaker_cuts_traffic_then_recloses_after_restart() {
     let (dead_addr, dead_stop, _) = &shards[1];
     dead_stop.trigger();
     for k in 0..6 {
-        assert!(c.send(&format!("CHECK app {}", pair(k, "x"))).starts_with("OK holds=true"));
+        assert!(c
+            .request(&format!("CHECK app {}", pair(k, "x")))
+            .unwrap()
+            .starts_with("OK holds=true"));
     }
 
     // Failed probes/dials trip the breaker: SHARDS soon shows it Open.
-    let shard_line = |c: &mut Client, addr: &SocketAddr| -> String {
-        let first = c.send("SHARDS");
-        let mut lines = c.read_until("END");
-        lines.insert(0, first);
+    let shard_line = |c: &mut Conn, addr: &SocketAddr| -> String {
+        let lines = reply_lines(c, "SHARDS");
         lines
             .iter()
             .find(|l| l.starts_with(&addr.to_string()))
@@ -485,7 +527,10 @@ fn open_breaker_cuts_traffic_then_recloses_after_restart() {
     let before: u64 = field(&shard_line(&mut c, dead_addr), "attempts").parse().unwrap();
     for _ in 0..3 {
         for k in 0..6 {
-            assert!(c.send(&format!("CHECK app {}", pair(k, "x"))).starts_with("OK holds=true"));
+            assert!(c
+                .request(&format!("CHECK app {}", pair(k, "x")))
+                .unwrap()
+                .starts_with("OK holds=true"));
         }
     }
     let after: u64 = field(&shard_line(&mut c, dead_addr), "attempts").parse().unwrap();
@@ -531,13 +576,14 @@ fn open_breaker_cuts_traffic_then_recloses_after_restart() {
 
     // Serving resumes through the revived shard (schema healed on the fly).
     for k in 0..6 {
-        assert!(c.send(&format!("CHECK app {}", pair(k, "y"))).starts_with("OK holds=true"));
+        assert!(c
+            .request(&format!("CHECK app {}", pair(k, "y")))
+            .unwrap()
+            .starts_with("OK holds=true"));
     }
 
     // The full breaker cycle is visible in METRICS.
-    let first = c.send("METRICS");
-    let mut lines = c.read_until("# EOF");
-    lines.insert(0, first);
+    let lines = reply_lines(&mut c, "METRICS");
     for transition in ["open", "half_open", "close"] {
         let series = format!(
             "router_breaker_transitions_total{{shard=\"{dead_addr}\",transition=\"{transition}\"}}"
@@ -550,8 +596,10 @@ fn open_breaker_cuts_traffic_then_recloses_after_restart() {
         assert!(count >= 1, "{series} never incremented");
     }
 
+    drop(c); // hang up first, so the drains end at once
     stop.trigger();
     handle.join().unwrap();
+    drop(router); // closes its pooled connections
     revived_stop.trigger();
     revived_handle.join().unwrap();
     for (_, s, h) in shards {
@@ -564,16 +612,14 @@ fn open_breaker_cuts_traffic_then_recloses_after_restart() {
 fn fleet_metrics_aggregate_and_stay_parseable() {
     let shards: Vec<_> = (0..2).map(|_| start_shard(false)).collect();
     let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.0).collect();
-    let (router_addr, _router, stop, handle) = start_router(&addrs, test_config());
-    let mut c = Client::connect(router_addr);
-    assert!(c.send(SCHEMA).starts_with("OK"));
+    let (router_addr, router, stop, handle) = start_router(&addrs, test_config());
+    let mut c = Conn::dial(router_addr).expect("connect");
+    assert!(c.request(SCHEMA).unwrap().starts_with("OK"));
     for var in VARS {
-        assert!(c.send(&format!("CHECK app {}", pair(0, var))).starts_with("OK"));
+        assert!(c.request(&format!("CHECK app {}", pair(0, var))).unwrap().starts_with("OK"));
     }
 
-    let first = c.send("METRICS");
-    let mut lines = c.read_until("# EOF");
-    lines.insert(0, first);
+    let lines = reply_lines(&mut c, "METRICS");
 
     // Shard families survive with both a fleet sum and per-shard labels.
     assert!(
@@ -605,8 +651,10 @@ fn fleet_metrics_aggregate_and_stay_parseable() {
         assert!(value.parse::<f64>().is_ok(), "bad value in `{l}`");
     }
 
+    drop(c); // hang up first, so the drains end at once
     stop.trigger();
     handle.join().unwrap();
+    drop(router); // closes its pooled connections
     for (_, s, h) in shards {
         s.trigger();
         h.join().unwrap();
@@ -617,14 +665,17 @@ fn fleet_metrics_aggregate_and_stay_parseable() {
 fn handoff_ships_the_warm_cache_to_a_joining_shard() {
     let (seed_addr, seed_stop, seed_handle) = start_shard(true);
     let (router_addr, router, stop, handle) = start_router(&[seed_addr], test_config());
-    let mut c = Client::connect(router_addr);
-    assert!(c.send(SCHEMA).starts_with("OK"));
+    let mut c = Conn::dial(router_addr).expect("connect");
+    assert!(c.request(SCHEMA).unwrap().starts_with("OK"));
     for k in 0..5 {
-        assert!(c.send(&format!("CHECK app {}", pair(k, "x"))).starts_with("OK holds=true"));
+        assert!(c
+            .request(&format!("CHECK app {}", pair(k, "x")))
+            .unwrap()
+            .starts_with("OK holds=true"));
     }
 
     let (joiner_addr, joiner_stop, joiner_handle) = start_shard(true);
-    let reply = c.send(&format!("HANDOFF {joiner_addr}"));
+    let reply = c.request(&format!("HANDOFF {joiner_addr}")).unwrap();
     assert!(reply.starts_with("OK handoff "), "{reply}");
     assert!(reply.contains(&format!("shard={joiner_addr}")), "{reply}");
     assert!(reply.contains(&format!("donor={seed_addr}")), "{reply}");
@@ -632,18 +683,20 @@ fn handoff_ships_the_warm_cache_to_a_joining_shard() {
     assert_eq!(router.shard_addrs().len(), 2, "the ring grew");
 
     // The joiner really holds the verdicts (and the schema).
-    let mut j = Client::connect(joiner_addr);
-    assert_eq!(j.stat("persist.recovered_entries"), 5);
-    assert_eq!(j.stat("cache.entries"), 5);
-    assert_eq!(j.stat("schemas"), 1);
+    let mut j = Conn::dial(joiner_addr).expect("connect");
+    assert_eq!(stat(&mut j, "persist.recovered_entries"), 5);
+    assert_eq!(stat(&mut j, "cache.entries"), 5);
+    assert_eq!(stat(&mut j, "schemas"), 1);
 
     // Joining twice is refused.
-    let reply = c.send(&format!("HANDOFF {joiner_addr}"));
+    let reply = c.request(&format!("HANDOFF {joiner_addr}")).unwrap();
     assert!(reply.starts_with("ERR"), "{reply}");
     assert!(reply.contains("already"), "{reply}");
 
+    drop((c, j)); // hang up first, so the drains end at once
     stop.trigger();
     handle.join().unwrap();
+    drop(router); // closes its pooled connections
     for (s, h) in [(seed_stop, seed_handle), (joiner_stop, joiner_handle)] {
         s.trigger();
         h.join().unwrap();

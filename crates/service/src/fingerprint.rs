@@ -108,7 +108,10 @@ pub fn fingerprint_union(disjuncts: &[Fingerprint]) -> Fingerprint {
 /// Parses, type-checks, normalizes, and fingerprints one union query text
 /// (`expr (or expr)*`) — the `UCHECK`/`UEQUIV` analogue of
 /// [`canonical_fingerprint`], exposed for the routing tier's
-/// fingerprint-affine dispatch of union requests.
+/// fingerprint-affine dispatch of union requests. It runs the engine's
+/// stages in the engine's order (every disjunct through one stage before
+/// the next, then the disjuncts' type agreement), so a router refuses a
+/// bad union with the error a shard would give.
 pub fn canonical_union_fingerprint(
     schema: &co_lang::CoqlSchema,
     text: &str,
@@ -116,12 +119,16 @@ pub fn canonical_union_fingerprint(
 ) -> Result<Fingerprint, String> {
     let exprs = co_lang::parse_union_coql_with_depth(text, max_depth)
         .map_err(|e| parse_error_message(&e))?;
+    let tys = exprs
+        .iter()
+        .map(|expr| co_lang::type_check(expr, schema).map_err(|e| e.to_string()))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut fps = Vec::with_capacity(exprs.len());
     for expr in &exprs {
-        co_lang::type_check(expr, schema).map_err(|e| e.to_string())?;
         let nf = co_lang::normalize(expr, schema).map_err(|e| e.to_string())?;
         fps.push(fingerprint_query(&nf));
     }
+    co_core::union_type(&tys).map_err(|e| e.to_string())?;
     Ok(fingerprint_union(&fps))
 }
 

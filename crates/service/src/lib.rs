@@ -20,9 +20,9 @@
 //!    [`Engine::decide_batch`];
 //! 4. [`server`] — the `coqld` TCP front end: a line-oriented
 //!    `CHECK`/`EQUIV`/`FINGERPRINT`/`SCHEMA`/`STATS` protocol with
-//!    per-decision-path latency histograms, framed by [`wire`] (one write
-//!    per line on `TCP_NODELAY` sockets, shared with the router and
-//!    `coqlc`);
+//!    per-decision-path latency histograms. The protocol itself — request
+//!    grammar, verb table, reply framing and the one client connection —
+//!    is [`wire`], shared with the router, `coqlc` and the tests;
 //! 5. [`snapshot`] — a versioned, checksummed on-disk format for the memo
 //!    cache, published atomically (temp + fsync + rename) by a background
 //!    snapshotter so restarts warm-start instead of recomputing

@@ -1,27 +1,9 @@
 //! `coqld`'s TCP front end: a line-oriented request/response protocol.
 //!
-//! One request per line, one reply per line (except `STATS`, which ends
-//! with `END`), UTF-8, newline-terminated — usable from `nc`:
-//!
-//! ```text
-//! SCHEMA <name> <decl>          register a schema, e.g. R(A,B); S(C)
-//! CHECK <schema> <q1> ;; <q2>   decide q1 ⊑ q2
-//! EQUIV <schema> <q1> ;; <q2>   decide equivalence
-//! UCHECK <schema> <u1> ;; <u2>  decide union containment u1 ⊑ u2
-//! UEQUIV <schema> <u1> ;; <u2>  decide union equivalence
-//! AGG <q1> ;; <q2>              aggregate-query containment/equivalence
-//! NEST <schema> <s1> ;; <s2>    nest/unnest sequence equivalence
-//! FINGERPRINT <schema> <q>      canonical fingerprint of one query
-//! STATS                         cache/engine counters + latency quantiles
-//! METRICS                       Prometheus text exposition, ends `# EOF`
-//! SNAPEXPORT                    hex-dump the cache as a COQLSNP1 snapshot
-//! SNAPBEGIN <bytes>             start staging a pushed snapshot
-//! SNAPDATA <hex>                append staged snapshot bytes
-//! SNAPCOMMIT                    verify + preload the staged snapshot
-//! SNAPABORT                     discard the staged snapshot
-//! SHUTDOWN                      drain and stop (if --allow-shutdown)
-//! QUIT                          close the connection
-//! ```
+//! One request per line, one reply per line or terminated block, UTF-8,
+//! newline-terminated — usable from `nc`. The verbs, their usage and
+//! their reply framing are the table in [`crate::wire`]; this module
+//! executes the verbs a shard serves.
 //!
 //! The `SNAP*` verbs implement warm shard handoff (a router ships one
 //! shard's cache to a joining shard) and are gated behind
@@ -101,7 +83,7 @@ use crate::fingerprint::FINGERPRINT_VERSION;
 use crate::snapshot::{from_hex, to_hex, FORMAT_VERSION};
 use crate::stats::{path_label, LatencyHistogram, ServerStats};
 use crate::sync;
-use crate::wire::{read_bounded_line, write_line, LineRead};
+use crate::wire::{self, read_bounded_line, write_line, Cmd, LineRead, Side, Verb};
 
 /// Server knobs.
 #[derive(Clone, Debug)]
@@ -523,121 +505,58 @@ enum Reply {
     Shutdown,
 }
 
-/// Strips leading `TIMEOUT <ms>` / `BUDGET <steps>` / `EXPLAIN` / `CERT`
-/// prefixes off a request line (`0` clears the corresponding limit),
-/// starting from the server's default timeout. Returns the budget,
-/// whether the request asked for an `EXPLAIN` breakdown, whether it asked
-/// for a certified (`CERT`) verdict, and the remaining command.
-fn parse_budget_prefix(
-    line: &str,
-    default_timeout: Option<Duration>,
-) -> Result<(RequestBudget, bool, bool, &str), String> {
-    let mut budget = RequestBudget { timeout: default_timeout, steps: None };
-    let mut explain = false;
-    let mut cert = false;
-    let mut rest = line;
-    loop {
-        let (head, tail) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
-        let upper = head.to_ascii_uppercase();
-        if upper == "EXPLAIN" {
-            explain = true;
-            rest = tail.trim_start();
-            continue;
-        }
-        if upper == "CERT" {
-            cert = true;
-            rest = tail.trim_start();
-            continue;
-        }
-        if upper != "TIMEOUT" && upper != "BUDGET" {
-            return Ok((budget, explain, cert, rest));
-        }
-        let tail = tail.trim_start();
-        let (value, after) = tail.split_once(char::is_whitespace).unwrap_or((tail, ""));
-        let n: u64 = value
-            .parse()
-            .map_err(|_| format!("usage: {upper} <n> <command ...> (got `{value}`)"))?;
-        if upper == "TIMEOUT" {
-            budget.timeout = if n == 0 { None } else { Some(Duration::from_millis(n)) };
-        } else {
-            budget.steps = if n == 0 { None } else { Some(n) };
-        }
-        rest = after.trim_start();
-    }
-}
-
 fn handle_line(line: &str, ctx: &ServerCtx, conn: &mut ConnState) -> Reply {
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return Reply::None;
-    }
-    let (budget, explain, cert, line) = match parse_budget_prefix(line, ctx.config.default_timeout)
-    {
-        Ok(parsed) => parsed,
+    let request = match wire::parse(Side::Shard, line) {
+        Ok(Some(request)) => request,
+        Ok(None) => return Reply::None,
         Err(message) => return Reply::Line(format!("ERR {message}")),
     };
-    if line.is_empty() {
-        return Reply::Line(
-            "ERR usage: [CERT] [EXPLAIN] [TIMEOUT <ms>] [BUDGET <steps>] <command ...>".into(),
-        );
-    }
+    let (prefixes, verb, rest) = (request.prefixes, request.verb, request.rest);
+    let budget = RequestBudget {
+        timeout: prefixes.timeout(ctx.config.default_timeout),
+        steps: prefixes.step_limit(),
+    };
     let engine = &ctx.engine;
-    let (cmd, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
-    let rest = rest.trim();
-    let cmd = cmd.to_ascii_uppercase();
-    let decision_verb = matches!(cmd.as_str(), "CHECK" | "EQUIV" | "UCHECK" | "UEQUIV");
-    if explain && !decision_verb {
-        return Reply::Line("ERR EXPLAIN applies only to CHECK, EQUIV, UCHECK, and UEQUIV".into());
-    }
-    if cert && !decision_verb {
-        return Reply::Line("ERR CERT applies only to CHECK, EQUIV, UCHECK, and UEQUIV".into());
-    }
-    let result = match cmd.as_str() {
-        "CHECK" => pair_request(Op::Check, rest)
-            .map(|r| r.with_budget(budget).with_cert(cert))
-            .and_then(|r| run(engine, &r, explain)),
-        "EQUIV" => pair_request(Op::Equiv, rest)
-            .map(|r| r.with_budget(budget).with_cert(cert))
-            .and_then(|r| run(engine, &r, explain)),
-        "UCHECK" => pair_request(Op::UCheck, rest)
-            .map(|r| r.with_budget(budget).with_cert(cert))
-            .and_then(|r| run(engine, &r, explain)),
-        "UEQUIV" => pair_request(Op::UEquiv, rest)
-            .map(|r| r.with_budget(budget).with_cert(cert))
-            .and_then(|r| run(engine, &r, explain)),
-        "AGG" => handle_agg(rest, &budget),
-        "NEST" => handle_nest(rest, engine, &budget),
-        "FINGERPRINT" => split_head(rest, "FINGERPRINT <schema> <query>")
+    let decide = |op| {
+        let (schema, q1, q2) = verb.split_pair(rest)?;
+        let request = Request::new(op, schema, q1, q2).with_budget(budget).with_cert(prefixes.cert);
+        run(engine, &request, prefixes.explain)
+    };
+    let result = match verb.cmd {
+        Cmd::Check => decide(Op::Check),
+        Cmd::Equiv => decide(Op::Equiv),
+        Cmd::UCheck => decide(Op::UCheck),
+        Cmd::UEquiv => decide(Op::UEquiv),
+        Cmd::Agg => handle_agg(verb, rest, &budget),
+        Cmd::Nest => handle_nest(verb, rest, engine, &budget),
+        Cmd::Fingerprint => verb
+            .split_head(rest)
             .and_then(|(schema, query)| engine.fingerprint(schema, query))
             .map(|fp| format!("OK fp={fp}")),
-        "SCHEMA" => split_head(rest, "SCHEMA <name> <decl>").and_then(|(name, decl)| {
+        Cmd::Schema => verb.split_head(rest).and_then(|(name, decl)| {
             parse_schema_decl(decl).map(|schema| {
                 let relations = schema.len();
                 let fp = engine.register_schema(name, schema);
                 format!("OK schema={name} fp={fp} relations={relations}")
             })
         }),
-        "STATS" => Ok(render_stats(ctx)),
-        "METRICS" => Ok(render_metrics(ctx)),
-        "SNAPEXPORT" | "SNAPBEGIN" | "SNAPDATA" | "SNAPCOMMIT" | "SNAPABORT" => {
+        Cmd::Stats => Ok(render_stats(ctx)),
+        Cmd::Metrics => Ok(render_metrics(ctx)),
+        Cmd::SnapExport | Cmd::SnapBegin | Cmd::SnapData | Cmd::SnapCommit | Cmd::SnapAbort => {
             if ctx.config.allow_handoff {
-                handle_snap(&cmd, rest, ctx, conn)
+                handle_snap(verb, rest, ctx, conn)
             } else {
-                Err(format!("{cmd} is disabled (start coqld with --allow-handoff)"))
+                Err(wire::disabled(Side::Shard, verb))
             }
         }
-        "SHUTDOWN" => {
+        Cmd::Shutdown => {
             if ctx.config.allow_shutdown {
                 return Reply::Shutdown;
             }
-            Err("SHUTDOWN is disabled (start coqld with --allow-shutdown)".to_string())
+            Err(wire::disabled(Side::Shard, verb))
         }
-        "QUIT" | "EXIT" => return Reply::Quit,
-        other => Err(format!(
-            "unknown command `{other}` \
-             (try CHECK, EQUIV, UCHECK, UEQUIV, AGG, NEST, FINGERPRINT, SCHEMA, STATS, METRICS, \
-             SNAPEXPORT, SHUTDOWN, QUIT)"
-        )),
+        Cmd::Quit => return Reply::Quit,
+        Cmd::Shards | Cmd::Handoff => unreachable!("wire::parse admits only shard verbs"),
     };
     match result {
         Ok(text) => Reply::Line(text),
@@ -661,13 +580,13 @@ fn handle_line(line: &str, ctx: &ServerCtx, conn: &mut ConnState) -> Reply {
 ///   cache untouched;
 /// * `SNAPABORT` — discard the staged payload.
 fn handle_snap(
-    cmd: &str,
+    verb: &Verb,
     rest: &str,
     ctx: &ServerCtx,
     conn: &mut ConnState,
 ) -> Result<String, String> {
-    match cmd {
-        "SNAPEXPORT" => {
+    match verb.cmd {
+        Cmd::SnapExport => {
             let (bytes, entries) = ctx.engine.export_snapshot_bytes();
             let mut out = format!(
                 "OK bytes={} entries={entries} format={FORMAT_VERSION} fpver={FINGERPRINT_VERSION}",
@@ -684,9 +603,9 @@ fn handle_snap(
             out.push_str("\nEND");
             Ok(out)
         }
-        "SNAPBEGIN" => {
+        Cmd::SnapBegin => {
             let expected: usize =
-                rest.parse().map_err(|_| format!("usage: SNAPBEGIN <bytes> (got `{rest}`)"))?;
+                rest.parse().map_err(|_| format!("{} (got `{rest}`)", verb.usage_error()))?;
             if expected > MAX_STAGED_BYTES {
                 return Err(format!(
                     "SNAPREJECTED declared size {expected} exceeds the {MAX_STAGED_BYTES}-byte cap"
@@ -695,7 +614,7 @@ fn handle_snap(
             conn.staging = Some(Staging { expected, buf: Vec::new() });
             Ok(format!("OK staging={expected}"))
         }
-        "SNAPDATA" => {
+        Cmd::SnapData => {
             if conn.staging.is_none() {
                 return Err("SNAPDATA without SNAPBEGIN (nothing staged)".to_string());
             }
@@ -714,7 +633,7 @@ fn handle_snap(
             staging.buf.extend_from_slice(&bytes);
             Ok(format!("OK received={} expected={}", staging.buf.len(), staging.expected))
         }
-        "SNAPCOMMIT" => {
+        Cmd::SnapCommit => {
             let staging =
                 conn.staging.take().ok_or("SNAPCOMMIT without SNAPBEGIN (nothing staged)")?;
             if staging.buf.len() != staging.expected {
@@ -729,36 +648,12 @@ fn handle_snap(
                 Err(reason) => Err(format!("SNAPREJECTED {reason}")),
             }
         }
-        "SNAPABORT" => {
+        Cmd::SnapAbort => {
             conn.staging = None;
             Ok("OK aborted".to_string())
         }
-        _ => unreachable!("caller dispatches only SNAP verbs"),
+        _ => unreachable!("the caller dispatches only SNAP verbs"),
     }
-}
-
-/// Splits `<head> <tail>`, erroring with a usage hint when `tail` is missing.
-fn split_head<'a>(rest: &'a str, usage: &str) -> Result<(&'a str, &'a str), String> {
-    match rest.split_once(char::is_whitespace) {
-        Some((head, tail)) if !tail.trim().is_empty() => Ok((head, tail.trim())),
-        _ => Err(format!("usage: {usage}")),
-    }
-}
-
-fn pair_request(op: Op, rest: &str) -> Result<Request, String> {
-    let usage = match op {
-        Op::Check => "CHECK <schema> <q1> ;; <q2>",
-        Op::Equiv => "EQUIV <schema> <q1> ;; <q2>",
-        Op::UCheck => "UCHECK <schema> <q1> [or <q>]* ;; <q2> [or <q>]*",
-        Op::UEquiv => "UEQUIV <schema> <q1> [or <q>]* ;; <q2> [or <q>]*",
-    };
-    let (schema, queries) = split_head(rest, usage)?;
-    let (q1, q2) = queries.split_once(";;").ok_or_else(|| format!("usage: {usage}"))?;
-    let (q1, q2) = (q1.trim(), q2.trim());
-    if q1.is_empty() || q2.is_empty() {
-        return Err(format!("usage: {usage}"));
-    }
-    Ok(Request::new(op, schema, q1, q2))
 }
 
 fn run(engine: &Engine, request: &Request, explain: bool) -> Result<String, String> {
@@ -908,12 +803,11 @@ fn parse_agg_side(text: &str) -> Result<co_agg::AggQuery, String> {
 /// directions (§7's reduction through `co-agg`). Runs under the request
 /// budget; an expired budget answers `ERR DEADLINE` instead of a verdict
 /// the interrupted search could have corrupted.
-fn handle_agg(rest: &str, budget: &RequestBudget) -> Result<String, String> {
-    let usage = "AGG <body> [| <fn>(<var>), ...] ;; <body> [| <fn>(<var>), ...]";
+fn handle_agg(verb: &Verb, rest: &str, budget: &RequestBudget) -> Result<String, String> {
     let deadline = budget.start();
-    let (left, right) = rest.split_once(";;").ok_or_else(|| format!("usage: {usage}"))?;
+    let (left, right) = rest.split_once(";;").ok_or_else(|| verb.usage_error())?;
     if left.trim().is_empty() || right.trim().is_empty() {
-        return Err(format!("usage: {usage}"));
+        return Err(verb.usage_error());
     }
     let q1 = parse_agg_side(left)?;
     let q2 = parse_agg_side(right)?;
@@ -987,12 +881,16 @@ fn parse_nest_side(text: &str) -> Result<co_algebra::nestseq::NuSeq, String> {
 
 /// The `NEST` verb: equivalence of two nest/unnest sequences over a
 /// registered flat schema, decided through `co-algebra::nestseq` (§6).
-fn handle_nest(rest: &str, engine: &Engine, budget: &RequestBudget) -> Result<String, String> {
-    let usage = "NEST <schema> <base> [; nest <A>,… as <G> | ; unnest <G>]* ;; <base> …";
+fn handle_nest(
+    verb: &Verb,
+    rest: &str,
+    engine: &Engine,
+    budget: &RequestBudget,
+) -> Result<String, String> {
     let deadline = budget.start();
-    let (schema_name, seqs) = split_head(rest, usage)?;
+    let (schema_name, seqs) = verb.split_head(rest)?;
     let schema = engine.flat_schema(schema_name)?;
-    let (left, right) = seqs.split_once(";;").ok_or_else(|| format!("usage: {usage}"))?;
+    let (left, right) = seqs.split_once(";;").ok_or_else(|| verb.usage_error())?;
     let s1 = parse_nest_side(left.trim())?;
     let s2 = parse_nest_side(right.trim())?;
     let outcome = {
@@ -1429,26 +1327,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_prefixes_parse_and_apply() {
-        let (budget, explain, cert, rest) =
-            parse_budget_prefix("TIMEOUT 250 BUDGET 9 CHECK s a ;; b", None).unwrap();
-        assert_eq!(budget.timeout, Some(Duration::from_millis(250)));
-        assert_eq!(budget.steps, Some(9));
-        assert!(!explain);
-        assert!(!cert);
-        assert_eq!(rest, "CHECK s a ;; b");
-        // 0 clears the server default.
-        let (budget, _, _, rest) =
-            parse_budget_prefix("TIMEOUT 0 STATS", Some(Duration::from_secs(1))).unwrap();
-        assert_eq!(budget.timeout, None);
-        assert_eq!(rest, "STATS");
-        // EXPLAIN and CERT combine with the budget prefixes in any order.
-        let (budget, explain, cert, rest) =
-            parse_budget_prefix("CERT TIMEOUT 250 EXPLAIN CHECK s a ;; b", None).unwrap();
-        assert_eq!(budget.timeout, Some(Duration::from_millis(250)));
-        assert!(explain);
-        assert!(cert);
-        assert_eq!(rest, "CHECK s a ;; b");
+    fn budget_prefixes_apply() {
         // A 1-step budget trips before any verdict: ERR DEADLINE, and the
         // non-verdict is not memoized (the retry computes the real one).
         let c = ctx();

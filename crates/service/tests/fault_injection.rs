@@ -4,12 +4,13 @@
 //! hangs, zero wrong verdicts on healthy requests, clean drain.
 #![cfg(feature = "fault-inject")]
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use co_service::wire::Conn;
 use co_service::{
     faults, serve_with_shutdown, Decision, Engine, EngineConfig, Op, Request, RequestBudget,
     ServerConfig, Shutdown,
@@ -58,28 +59,6 @@ fn start_server(config: ServerConfig) -> TestServer {
     TestServer { addr, shutdown, handle }
 }
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        // The no-hang guarantee: every read in this suite gives up loudly
-        // after 10s instead of wedging the test run.
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        Client { reader: BufReader::new(stream.try_clone().unwrap()), writer: stream }
-    }
-
-    fn send(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").unwrap();
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply (no-hang guarantee)");
-        reply.trim_end().to_string()
-    }
-}
-
 fn hard_query(k: usize) -> String {
     let subs: Vec<String> = (0..k)
         .map(|i| format!("g{i}: (select y{i}.C from y{i} in S where y{i}.C = x.A)"))
@@ -106,8 +85,8 @@ fn mixed_workload_survives_kernel_panics_and_slow_loris() {
     let server = start_server(config);
     let addr = server.addr;
 
-    let mut setup = Client::connect(addr);
-    let schema_reply = setup.send("SCHEMA s R(A,B); S(C)");
+    let mut setup = Conn::dial(addr).expect("connect");
+    let schema_reply = setup.request("SCHEMA s R(A,B); S(C)").unwrap();
     assert!(schema_reply.starts_with("OK"), "{schema_reply}");
     drop(setup);
 
@@ -130,7 +109,7 @@ fn mixed_workload_survives_kernel_panics_and_slow_loris() {
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 scope.spawn(move || {
-                    let mut client = Client::connect(addr);
+                    let mut client = Conn::dial(addr).expect("connect");
                     let mut replies = Vec::new();
                     for round in 0..50 {
                         let i = (t * 50 + round) % 50;
@@ -141,7 +120,7 @@ fn mixed_workload_survives_kernel_panics_and_slow_loris() {
                         } else {
                             format!("CHECK s {all} ;; {filtered}")
                         };
-                        replies.push((i, client.send(&line)));
+                        replies.push((i, client.request(&line).unwrap()));
                     }
                     replies
                 })
@@ -176,11 +155,11 @@ fn mixed_workload_survives_kernel_panics_and_slow_loris() {
     // Disarm panics, then prove hard instances still honor deadlines on
     // the post-chaos server.
     faults::reset();
-    let mut client = Client::connect(addr);
+    let mut client = Conn::dial(addr).expect("connect");
     let hard = hard_query(18);
-    let reply = client.send(&format!("TIMEOUT 50 CHECK s {hard} ;; {hard}"));
+    let reply = client.request(&format!("TIMEOUT 50 CHECK s {hard} ;; {hard}")).unwrap();
     assert!(reply.starts_with("ERR DEADLINE"), "{reply}");
-    let reply = client.send("CHECK s select x.B from x in R ;; select x.B from x in R");
+    let reply = client.request("CHECK s select x.B from x in R ;; select x.B from x in R").unwrap();
     assert!(reply.starts_with("OK holds=true"), "{reply}");
     drop(client);
 
@@ -245,14 +224,15 @@ fn reply_padding_does_not_desync_the_connection() {
         drain_timeout: Duration::from_millis(500),
         ..ServerConfig::default()
     });
-    let mut client = Client::connect(server.addr);
-    assert!(client.send("SCHEMA s R(A,B)").starts_with("OK"));
+    let mut client = Conn::dial(server.addr).expect("connect");
+    assert!(client.request("SCHEMA s R(A,B)").unwrap().starts_with("OK"));
 
     // Arm after setup so the pad counter targets the CHECK replies.
     faults::set_reply_padding(2, 64);
-    let first = client.send("CHECK s select x.B from x in R ;; select x.B from x in R");
-    let second =
-        client.send("CHECK s select x.B from x in R where x.A = 1 ;; select x.B from x in R");
+    let first = client.request("CHECK s select x.B from x in R ;; select x.B from x in R").unwrap();
+    let second = client
+        .request("CHECK s select x.B from x in R where x.A = 1 ;; select x.B from x in R")
+        .unwrap();
     faults::reset();
 
     // Every 2nd reply is padded: exactly one of the two carries garbage.

@@ -6,18 +6,27 @@
 //! verdict-for-verdict agreement with a cold engine.
 
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+use co_service::wire::Conn;
 use co_service::{
     serve_with_shutdown, snapshot, Decision, Engine, EngineConfig, LoadOutcome, Op, Request,
     RequestBudget, ServerConfig, Shutdown, WarmStart,
 };
+
+/// Snapshot writes consult the process-global fault triggers that the
+/// `faulted` tests arm, so every test that uses a scratch directory holds
+/// this lock for its whole run.
+static SNAPSHOT_LOCK: Mutex<()> = Mutex::new(());
+
+fn snapshot_lock() -> MutexGuard<'static, ()> {
+    SNAPSHOT_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A scratch directory unique to one test (fresh on every run).
 fn tempdir(name: &str) -> PathBuf {
@@ -58,6 +67,7 @@ fn decide(engine: &Engine, q1: &str, q2: &str) -> (bool, bool) {
 
 #[test]
 fn snapshot_roundtrip_restores_verdicts_and_counts_recovery() {
+    let _lock = snapshot_lock();
     let dir = tempdir("roundtrip");
     let path = dir.join("cache.snap");
 
@@ -92,6 +102,7 @@ fn snapshot_roundtrip_restores_verdicts_and_counts_recovery() {
 
 #[test]
 fn missing_snapshot_is_a_cold_start() {
+    let _lock = snapshot_lock();
     let dir = tempdir("cold");
     let engine = small_engine();
     assert_eq!(engine.warm_start(&dir.join("never-written.snap")), WarmStart::Cold);
@@ -109,6 +120,7 @@ fn reseal_header(bytes: &mut [u8]) {
 
 #[test]
 fn stale_fingerprint_version_is_quarantined_not_served() {
+    let _lock = snapshot_lock();
     let dir = tempdir("stale");
     let path = dir.join("cache.snap");
     let engine = small_engine();
@@ -137,6 +149,7 @@ fn stale_fingerprint_version_is_quarantined_not_served() {
 
 #[test]
 fn corrupt_snapshot_is_moved_aside_and_next_boot_is_cold() {
+    let _lock = snapshot_lock();
     let dir = tempdir("corrupt");
     let path = dir.join("cache.snap");
     let engine = small_engine();
@@ -168,6 +181,7 @@ fn corrupt_snapshot_is_moved_aside_and_next_boot_is_cold() {
 
 #[test]
 fn truncated_snapshot_is_quarantined() {
+    let _lock = snapshot_lock();
     let dir = tempdir("truncated");
     let path = dir.join("cache.snap");
     let engine = small_engine();
@@ -187,6 +201,7 @@ fn truncated_snapshot_is_quarantined() {
 
 #[test]
 fn timed_out_decisions_are_never_snapshotted() {
+    let _lock = snapshot_lock();
     let dir = tempdir("timeouts");
     let path = dir.join("cache.snap");
     let engine = small_engine();
@@ -230,6 +245,7 @@ fn decide_union(engine: &Engine, cert: bool) -> (bool, bool, Option<String>) {
 
 #[test]
 fn union_verdicts_survive_restart() {
+    let _lock = snapshot_lock();
     let dir = tempdir("unions");
     let path = dir.join("cache.snap");
     let engine = small_engine();
@@ -299,56 +315,18 @@ impl TestServer {
     }
 }
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        Client { reader: BufReader::new(stream.try_clone().unwrap()), writer: stream }
-    }
-
-    fn send(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").unwrap();
-        self.read_line()
-    }
-
-    /// Sends `STATS` and collects the `<key> <value>` lines up to `END`.
-    fn stats(&mut self) -> Vec<(String, String)> {
-        writeln!(self.writer, "STATS").unwrap();
-        let mut out = Vec::new();
-        loop {
-            let line = self.read_line();
-            if line == "END" {
-                return out;
-            }
-            let (k, v) = line.split_once(' ').expect("stats line");
-            out.push((k.to_string(), v.to_string()));
-        }
-    }
-
-    fn read_line(&mut self) -> String {
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply");
-        reply.trim_end().to_string()
-    }
-}
-
-fn stat(stats: &[(String, String)], key: &str) -> u64 {
+fn stat(stats: &str, key: &str) -> u64 {
     stats
-        .iter()
-        .find(|(k, _)| k == key)
+        .lines()
+        .find_map(|l| l.strip_prefix(key).and_then(|v| v.strip_prefix(' ')))
         .unwrap_or_else(|| panic!("STATS missing key {key}"))
-        .1
         .parse()
         .unwrap_or_else(|_| panic!("STATS {key} is not a number"))
 }
 
 #[test]
 fn tcp_restart_drill_warm_starts_with_identical_verdicts() {
+    let _lock = snapshot_lock();
     let dir = tempdir("tcp-drill");
     let path = dir.join("cache.snap");
     let config = ServerConfig {
@@ -362,15 +340,15 @@ fn tcp_restart_drill_warm_starts_with_identical_verdicts() {
 
     // Round 1: populate over TCP, remember every verdict, drain.
     let server = TestServer::start(config.clone());
-    let mut client = Client::connect(server.addr);
-    assert!(client.send("SCHEMA s R(A,B); S(C)").starts_with("OK"));
+    let mut client = Conn::dial(server.addr).expect("connect");
+    assert!(client.request("SCHEMA s R(A,B); S(C)").unwrap().starts_with("OK"));
     let mut verdicts = Vec::new();
     for (q1, q2) in PAIRS {
-        let reply = client.send(&format!("CHECK s {q1} ;; {q2}"));
+        let reply = client.request(&format!("CHECK s {q1} ;; {q2}")).unwrap();
         assert!(reply.starts_with("OK holds="), "{reply}");
         verdicts.push(reply.contains("holds=true"));
     }
-    let stats = client.stats();
+    let stats = client.request("STATS").unwrap();
     assert_eq!(stat(&stats, "persist.recovered_entries"), 0);
     drop(client);
     server.stop();
@@ -379,10 +357,10 @@ fn tcp_restart_drill_warm_starts_with_identical_verdicts() {
     // Round 2: a fresh server on the same path answers from the warm
     // cache, verdict for verdict.
     let server = TestServer::start(config);
-    let mut client = Client::connect(server.addr);
-    assert!(client.send("SCHEMA s R(A,B); S(C)").starts_with("OK"));
+    let mut client = Conn::dial(server.addr).expect("connect");
+    assert!(client.request("SCHEMA s R(A,B); S(C)").unwrap().starts_with("OK"));
     for ((q1, q2), &expected) in PAIRS.iter().zip(&verdicts) {
-        let reply = client.send(&format!("CHECK s {q1} ;; {q2}"));
+        let reply = client.request(&format!("CHECK s {q1} ;; {q2}")).unwrap();
         assert!(reply.contains("cached=true"), "`{q1}` ⊑ `{q2}` must be a warm hit: {reply}");
         assert_eq!(
             reply.contains("holds=true"),
@@ -390,7 +368,7 @@ fn tcp_restart_drill_warm_starts_with_identical_verdicts() {
             "`{q1}` ⊑ `{q2}` verdict changed across restart: {reply}"
         );
     }
-    let stats = client.stats();
+    let stats = client.request("STATS").unwrap();
     assert_eq!(stat(&stats, "persist.recovered_entries"), PAIRS.len() as u64);
     assert_eq!(stat(&stats, "persist.quarantined"), 0);
     assert_eq!(server.engine.stats().computed.load(Ordering::Relaxed), 0);
@@ -401,6 +379,7 @@ fn tcp_restart_drill_warm_starts_with_identical_verdicts() {
 
 #[test]
 fn periodic_snapshotter_publishes_without_shutdown() {
+    let _lock = snapshot_lock();
     let dir = tempdir("periodic");
     let path = dir.join("cache.snap");
     let config = ServerConfig {
@@ -410,10 +389,10 @@ fn periodic_snapshotter_publishes_without_shutdown() {
         ..ServerConfig::default()
     };
     let server = TestServer::start(config);
-    let mut client = Client::connect(server.addr);
-    assert!(client.send("SCHEMA s R(A,B); S(C)").starts_with("OK"));
+    let mut client = Conn::dial(server.addr).expect("connect");
+    assert!(client.request("SCHEMA s R(A,B); S(C)").unwrap().starts_with("OK"));
     let (q1, q2) = PAIRS[0];
-    assert!(client.send(&format!("CHECK s {q1} ;; {q2}")).starts_with("OK"));
+    assert!(client.request(&format!("CHECK s {q1} ;; {q2}")).unwrap().starts_with("OK"));
     // The background snapshotter must publish within a few intervals,
     // with the server still up.
     let give_up = std::time::Instant::now() + Duration::from_secs(5);
@@ -424,7 +403,7 @@ fn periodic_snapshotter_publishes_without_shutdown() {
         assert!(std::time::Instant::now() < give_up, "snapshotter never published");
         thread::sleep(Duration::from_millis(20));
     }
-    let stats = client.stats();
+    let stats = client.request("STATS").unwrap();
     assert!(stat(&stats, "persist.snapshots_written") >= 1);
     assert!(stat(&stats, "persist.snapshot_age_ms") < 10_000);
     drop(client);
@@ -441,16 +420,12 @@ mod faulted {
     use super::*;
     use co_service::faults;
     use std::path::Path;
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    /// Fault triggers are process-global; serialize tests that arm them.
-    static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
     struct FaultSession(#[allow(dead_code)] MutexGuard<'static, ()>);
 
     impl FaultSession {
         fn begin() -> FaultSession {
-            let guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+            let guard = snapshot_lock();
             faults::reset();
             FaultSession(guard)
         }

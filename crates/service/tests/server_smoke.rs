@@ -1,12 +1,12 @@
 //! End-to-end smoke test: a real `coqld` serving loop on an ephemeral TCP
 //! port, exercised over a socket exactly as `nc` would.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use co_service::wire::Conn;
 use co_service::{serve, Engine, EngineConfig, ServerConfig};
 
 fn start_server() -> std::net::SocketAddr {
@@ -25,92 +25,60 @@ fn start_server() -> std::net::SocketAddr {
     addr
 }
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to coqld");
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        Client { reader: BufReader::new(stream.try_clone().unwrap()), writer: stream }
-    }
-
-    fn send(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply");
-        reply.trim_end().to_string()
-    }
-
-    /// Sends a STATS request and reads the multi-line reply up to END.
-    fn stats(&mut self) -> Vec<String> {
-        writeln!(self.writer, "STATS").unwrap();
-        self.writer.flush().unwrap();
-        let mut lines = Vec::new();
-        loop {
-            let mut line = String::new();
-            self.reader.read_line(&mut line).expect("read stats line");
-            let line = line.trim_end().to_string();
-            let done = line == "END";
-            lines.push(line);
-            if done {
-                return lines;
-            }
-        }
-    }
-}
-
 #[test]
 fn serves_check_equiv_stats_over_tcp() {
     let addr = start_server();
-    let mut client = Client::connect(addr);
+    let mut client = Conn::dial(addr).expect("connect");
 
-    let reply = client.send("SCHEMA app R(A, B); S(C)");
+    let reply = client.request("SCHEMA app R(A, B); S(C)").unwrap();
     assert!(reply.starts_with("OK"), "SCHEMA reply: {reply}");
 
-    let reply =
-        client.send("CHECK app select x.B from x in R where x.A = 1 ;; select y.B from y in R");
+    let reply = client
+        .request("CHECK app select x.B from x in R where x.A = 1 ;; select y.B from y in R")
+        .unwrap();
     assert!(reply.starts_with("OK holds=true"), "CHECK reply: {reply}");
     assert!(reply.contains("cached=false"), "CHECK reply: {reply}");
 
     // The α-renamed duplicate is answered from cache.
-    let reply =
-        client.send("CHECK app select u.B from u in R where 1 = u.A ;; select v.B from v in R");
+    let reply = client
+        .request("CHECK app select u.B from u in R where 1 = u.A ;; select v.B from v in R")
+        .unwrap();
     assert!(reply.starts_with("OK holds=true"), "CHECK reply: {reply}");
     assert!(reply.contains("cached=true"), "CHECK reply: {reply}");
 
-    let reply = client.send("EQUIV app select [a: x.A] from x in R ;; select y.C from y in S");
+    let reply =
+        client.request("EQUIV app select [a: x.A] from x in R ;; select y.C from y in S").unwrap();
     assert!(reply.starts_with("ERR"), "type-mismatched EQUIV reply: {reply}");
 
-    let stats = client.stats();
-    assert_eq!(stats.last().map(String::as_str), Some("END"));
+    let stats = client.request("STATS").unwrap();
+    let stats: Vec<&str> = stats.lines().collect();
+    assert_eq!(stats.last(), Some(&"END"));
     assert!(stats.iter().any(|l| l.starts_with("decisions ")), "{stats:?}");
-    assert!(stats.iter().any(|l| l == "cache.hits 1"), "{stats:?}");
+    assert!(stats.contains(&"cache.hits 1"), "{stats:?}");
 
-    let reply = client.send("NOPE what");
+    let reply = client.request("NOPE what").unwrap();
     assert!(reply.starts_with("ERR"), "unknown command reply: {reply}");
 }
 
 #[test]
 fn concurrent_clients_share_the_cache() {
     let addr = start_server();
-    let mut setup = Client::connect(addr);
-    assert!(setup.send("SCHEMA app R(A, B)").starts_with("OK"));
+    let mut setup = Conn::dial(addr).expect("connect");
+    assert!(setup.request("SCHEMA app R(A, B)").unwrap().starts_with("OK"));
 
     let replies: Vec<String> = thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 scope.spawn(move || {
-                    let mut client = Client::connect(addr);
+                    let mut client = Conn::dial(addr).expect("connect");
                     let vars = ["x", "y", "z", "w"];
                     let v = vars[i];
-                    client.send(&format!(
-                        "CHECK app select {v}.B from {v} in R where {v}.A = 7 ;; \
+                    client
+                        .request(&format!(
+                            "CHECK app select {v}.B from {v} in R where {v}.A = 7 ;; \
                          select {v}.B from {v} in R"
-                    ))
+                        ))
+                        .unwrap()
                 })
             })
             .collect();
@@ -120,33 +88,19 @@ fn concurrent_clients_share_the_cache() {
     for reply in &replies {
         assert!(reply.starts_with("OK holds=true"), "concurrent CHECK reply: {reply}");
     }
-    let stats = setup.stats();
+    let stats = setup.request("STATS").unwrap();
     let computed = stats
-        .iter()
+        .lines()
         .find_map(|l| l.strip_prefix("computed "))
         .and_then(|v| v.parse::<u64>().ok())
         .expect("computed in STATS");
     assert_eq!(computed, 1, "all four α-variants share one cache key: {stats:?}");
 }
 
-/// Sends `line` `n` times on one `TCP_NODELAY` connection, one write per
-/// request, and returns the replies.
+/// Sends `line` `n` times on one connection and returns the replies.
 fn exchange_repeatedly(addr: std::net::SocketAddr, line: &str, n: usize) -> Vec<String> {
-    use co_service::{read_bounded_line, write_line, LineRead};
-    let stream = TcpStream::connect(addr).expect("connect to coqld");
-    stream.set_nodelay(true).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-    (0..n)
-        .map(|_| {
-            write_line(&mut writer, line).unwrap();
-            match read_bounded_line(&mut reader, 1 << 16, None).unwrap() {
-                LineRead::Line(reply) => reply,
-                other => panic!("no reply line: {other:?}"),
-            }
-        })
-        .collect()
+    let mut conn = Conn::dial(addr).expect("connect to coqld");
+    (0..n).map(|_| conn.request(line).expect("reply")).collect()
 }
 
 /// Regression: a reply written as its text and then its `\n` waited out the

@@ -9,14 +9,14 @@
 //! Run with `cargo test -p co-service --features slow-tests --test soak`.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use co_cq::Schema;
+use co_service::wire::Conn;
 use co_service::{serve_with_shutdown, Engine, EngineConfig, Op, Request, ServerConfig, Shutdown};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -65,52 +65,12 @@ fn start_server() -> (SocketAddr, Shutdown, thread::JoinHandle<()>) {
     (addr, shutdown, handle)
 }
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to coqld");
-        // The no-hang guarantee: every reply must arrive within this
-        // window or the test fails instead of wedging.
-        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        Client { reader: BufReader::new(stream.try_clone().unwrap()), writer: stream }
-    }
-
-    fn send(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply");
-        reply.trim_end().to_string()
-    }
-
-    /// Sends a request whose reply is multi-line, reading until `end`.
-    fn send_multi(&mut self, line: &str, end: &str) -> Vec<String> {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
-        let mut lines = Vec::new();
-        loop {
-            let mut l = String::new();
-            self.reader.read_line(&mut l).expect("read multi-line reply");
-            let l = l.trim_end().to_string();
-            let done = l == end || l.starts_with("ERR");
-            lines.push(l);
-            if done {
-                return lines;
-            }
-        }
-    }
-}
-
 /// Counter samples (`name{labels}` → value) of one `METRICS` scrape,
 /// restricted to families declared `# TYPE … counter` (gauges may move
 /// either way and are excluded from the monotonicity check).
-fn counter_samples(scrape: &[String]) -> HashMap<String, f64> {
+fn counter_samples(scrape: &str) -> HashMap<String, f64> {
     let mut counters = Vec::new();
-    for l in scrape {
+    for l in scrape.lines() {
         if let Some(rest) = l.strip_prefix("# TYPE ") {
             if let Some((name, kind)) = rest.split_once(' ') {
                 if kind == "counter" {
@@ -120,7 +80,7 @@ fn counter_samples(scrape: &[String]) -> HashMap<String, f64> {
         }
     }
     let mut out = HashMap::new();
-    for l in scrape {
+    for l in scrape.lines() {
         if l.starts_with('#') || l.is_empty() {
             continue;
         }
@@ -137,8 +97,8 @@ fn counter_samples(scrape: &[String]) -> HashMap<String, f64> {
 fn soak_mixed_load_agrees_with_cold_engine_and_metrics_stay_monotone() {
     let (addr, shutdown, handle) = start_server();
 
-    let mut setup = Client::connect(addr);
-    assert!(setup.send("SCHEMA app R(A, B); S(C)").starts_with("OK"));
+    let mut setup = Conn::dial(addr).expect("connect");
+    assert!(setup.request("SCHEMA app R(A, B); S(C)").unwrap().starts_with("OK"));
 
     // Ground truth from a cold, single-threaded engine.
     let cold = Engine::new(EngineConfig::default());
@@ -156,7 +116,7 @@ fn soak_mixed_load_agrees_with_cold_engine_and_metrics_stay_monotone() {
     let expected = Arc::new(expected);
     let pool = Arc::new(pool);
 
-    let first_scrape = setup.send_multi("METRICS", "# EOF");
+    let first_scrape = setup.request("METRICS").unwrap();
     let before = counter_samples(&first_scrape);
     assert!(!before.is_empty(), "no counters in scrape: {first_scrape:?}");
 
@@ -170,11 +130,11 @@ fn soak_mixed_load_agrees_with_cold_engine_and_metrics_stay_monotone() {
             let sent = &sent;
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(SEED ^ client_id as u64);
-                let mut client = Client::connect(addr);
+                let mut client = Conn::dial(addr).expect("connect");
                 for step in 0..REQUESTS_PER_CLIENT {
                     if step % 24 == 23 {
-                        let scrape = client.send_multi("METRICS", "# EOF");
-                        assert_eq!(scrape.last().map(String::as_str), Some("# EOF"));
+                        let scrape = client.request("METRICS").unwrap();
+                        assert!(scrape.ends_with("\n# EOF"), "{scrape}");
                         continue;
                     }
                     let i = rng.gen_range(0..pool.len());
@@ -189,14 +149,14 @@ fn soak_mixed_load_agrees_with_cold_engine_and_metrics_stay_monotone() {
                     let line = format!("{prefix}CHECK app {} ;; {}", pool[i], pool[j]);
                     sent.fetch_add(1, Ordering::Relaxed);
                     let verdict = if prefix.starts_with("EXPLAIN") {
-                        let reply = client.send_multi(&line, "END");
+                        let reply = client.request(&line).unwrap();
                         assert!(
-                            reply.iter().any(|l| l.starts_with("explain.kernel.")),
+                            reply.lines().any(|l| l.starts_with("explain.kernel.")),
                             "EXPLAIN reply without kernel counters: {reply:?}"
                         );
-                        reply.first().cloned().unwrap_or_default()
+                        reply.lines().next().unwrap_or_default().to_string()
                     } else {
-                        client.send(&line)
+                        client.request(&line).unwrap()
                     };
                     assert!(
                         verdict.starts_with(&format!("OK holds={holds}")),
@@ -207,7 +167,7 @@ fn soak_mixed_load_agrees_with_cold_engine_and_metrics_stay_monotone() {
         }
     });
 
-    let second_scrape = setup.send_multi("METRICS", "# EOF");
+    let second_scrape = setup.request("METRICS").unwrap();
     let after = counter_samples(&second_scrape);
     for (series, &v0) in &before {
         let v1 = after.get(series).copied().unwrap_or_else(|| panic!("{series} disappeared"));

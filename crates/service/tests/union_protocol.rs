@@ -2,12 +2,11 @@
 //! (union containment with certificates) and `AGG`/`NEST` (aggregate and
 //! nest/unnest decisions), all over a real TCP serving loop.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
+use co_service::wire::Conn;
 use co_service::{serve, Engine, EngineConfig, ServerConfig};
 
 fn start_server() -> std::net::SocketAddr {
@@ -26,58 +25,24 @@ fn start_server() -> std::net::SocketAddr {
     addr
 }
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to coqld");
-        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        Client { reader: BufReader::new(stream.try_clone().unwrap()), writer: stream }
-    }
-
-    fn send(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply");
-        reply.trim_end().to_string()
-    }
-
-    /// Sends a request whose reply is multi-line, reading up to `END`
-    /// (or a single `ERR` line).
-    fn send_multi(&mut self, line: &str) -> Vec<String> {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
-        let mut lines = Vec::new();
-        loop {
-            let mut reply = String::new();
-            self.reader.read_line(&mut reply).expect("read reply line");
-            let reply = reply.trim_end().to_string();
-            let done = reply == "END"
-                || reply == "# EOF"
-                || (lines.is_empty() && reply.starts_with("ERR"));
-            lines.push(reply);
-            if done {
-                return lines;
-            }
-        }
-    }
+/// The lines of one whole reply, terminator included.
+fn lines(client: &mut Conn, request: &str) -> Vec<String> {
+    client.request(request).unwrap().lines().map(String::from).collect()
 }
 
 #[test]
 fn ucheck_and_uequiv_decide_unions_over_tcp() {
     let addr = start_server();
-    let mut client = Client::connect(addr);
-    assert!(client.send("SCHEMA app R(A, B); S(C)").starts_with("OK"));
+    let mut client = Conn::dial(addr).expect("connect");
+    assert!(client.request("SCHEMA app R(A, B); S(C)").unwrap().starts_with("OK"));
 
     // Both disjuncts of the left union are contained in the right query.
-    let reply = client.send(
-        "UCHECK app select x.B from x in R where x.A = 1 or \
+    let reply = client
+        .request(
+            "UCHECK app select x.B from x in R where x.A = 1 or \
          select x.B from x in R where x.A = 2 ;; select y.B from y in R",
-    );
+        )
+        .unwrap();
     assert!(reply.starts_with("OK holds=true"), "{reply}");
     assert!(reply.contains("witnesses=0,0"), "{reply}");
     assert!(reply.contains("left=2 right=1"), "{reply}");
@@ -85,46 +50,52 @@ fn ucheck_and_uequiv_decide_unions_over_tcp() {
 
     // The permuted, α-renamed union decides the same disjunct pairs, all
     // memoized: a cache hit.
-    let reply = client.send(
-        "UCHECK app select w.B from w in R where w.A = 2 or \
+    let reply = client
+        .request(
+            "UCHECK app select w.B from w in R where w.A = 2 or \
          select z.B from z in R where 1 = z.A ;; select v.B from v in R",
-    );
+        )
+        .unwrap();
     assert!(reply.starts_with("OK holds=true"), "{reply}");
     assert!(reply.contains("cached=true"), "{reply}");
 
     // The reverse direction is refuted at the uncovered disjunct.
-    let reply = client.send(
-        "UCHECK app select y.B from y in R ;; \
+    let reply = client
+        .request(
+            "UCHECK app select y.B from y in R ;; \
          select x.B from x in R where x.A = 1 or select x.B from x in R where x.A = 2",
-    );
+        )
+        .unwrap();
     assert!(reply.starts_with("OK holds=false"), "{reply}");
     assert!(reply.contains("refuted=0"), "{reply}");
 
     // `(σ R) ∪ R ≡ R` both ways.
-    let reply = client.send(
-        "UEQUIV app select x.B from x in R where x.A = 1 or select x.B from x in R ;; \
+    let reply = client
+        .request(
+            "UEQUIV app select x.B from x in R where x.A = 1 or select x.B from x in R ;; \
          select y.B from y in R",
-    );
+        )
+        .unwrap();
     assert!(reply.starts_with("OK equivalent=true"), "{reply}");
     assert!(reply.contains("forward=true backward=true"), "{reply}");
 
-    let stats = client.send_multi("STATS");
+    let stats = lines(&mut client, "STATS");
     assert!(stats.iter().any(|l| l.starts_with("unions.decisions ")), "{stats:?}");
     assert!(stats.iter().any(|l| l == "unions.hits 1"), "{stats:?}");
 
-    let metrics = client.send_multi("METRICS");
+    let metrics = lines(&mut client, "METRICS");
     assert!(metrics.iter().any(|l| l.starts_with("coqld_union_decisions_total ")), "{metrics:?}");
 }
 
 #[test]
 fn cert_ucheck_attaches_checkable_union_certificates() {
     let addr = start_server();
-    let mut client = Client::connect(addr);
-    assert!(client.send("SCHEMA app R(A, B); S(C)").starts_with("OK"));
+    let mut client = Conn::dial(addr).expect("connect");
+    assert!(client.request("SCHEMA app R(A, B); S(C)").unwrap().starts_with("OK"));
 
     let request = "CERT UCHECK app select x.B from x in R where x.A = 1 or \
                    select x.B from x in R where x.A = 2 ;; select y.B from y in R";
-    let reply = client.send_multi(request);
+    let reply = lines(&mut client, request);
     assert!(reply[0].starts_with("OK holds=true"), "{reply:?}");
     assert_eq!(reply.last().map(String::as_str), Some("END"));
     let body = reply[1..reply.len() - 1].join("\n");
@@ -134,7 +105,8 @@ fn cert_ucheck_attaches_checkable_union_certificates() {
     assert_eq!(cert.witnesses.len(), 2);
 
     // A refuted union carries per-branch counterexample blocks.
-    let reply = client.send_multi(
+    let reply = lines(
+        &mut client,
         "CERT UCHECK app select y.B from y in R ;; \
          select x.B from x in R where x.A = 1 or select x.B from x in R where x.A = 2",
     );
@@ -146,14 +118,15 @@ fn cert_ucheck_attaches_checkable_union_certificates() {
 
     // The memoized certificate passes the server-side re-check and is
     // served again on the cached path.
-    let reply = client.send_multi(request);
+    let reply = lines(&mut client, request);
     assert!(reply[0].contains("cached=true"), "{reply:?}");
     assert!(reply.iter().any(|l| l == "COUNION1 verdict=holds left=2 right=1"), "{reply:?}");
-    let stats = client.send_multi("STATS");
+    let stats = lines(&mut client, "STATS");
     assert!(stats.iter().any(|l| l == "persist.cert_rejected 0"), "{stats:?}");
 
     // CERT UEQUIV emits the forward block, then the backward block.
-    let reply = client.send_multi(
+    let reply = lines(
+        &mut client,
         "CERT UEQUIV app select x.B from x in R where x.A = 1 or select x.B from x in R ;; \
          select y.B from y in R",
     );
@@ -185,8 +158,8 @@ fn check_union_block(body: &str, left: &str, right: &str, holds: bool) {
 #[test]
 fn permuted_cert_ucheck_blocks_follow_the_request_order() {
     let addr = start_server();
-    let mut client = Client::connect(addr);
-    assert!(client.send("SCHEMA app R(A, B); S(C)").starts_with("OK"));
+    let mut client = Conn::dial(addr).expect("connect");
+    assert!(client.request("SCHEMA app R(A, B); S(C)").unwrap().starts_with("OK"));
 
     let a = "select x.B from x in R where x.A = 1";
     let b = "select x.B from x in R where x.B = 2";
@@ -196,7 +169,7 @@ fn permuted_cert_ucheck_blocks_follow_the_request_order() {
         (format!("{a} or {b}"), "witnesses=0,1", "cached=false"),
         (format!("{b} or {a}"), "witnesses=1,0", "cached=true"),
     ] {
-        let reply = client.send_multi(&format!("CERT UCHECK app {left} ;; {three}"));
+        let reply = lines(&mut client, &format!("CERT UCHECK app {left} ;; {three}"));
         assert!(reply[0].starts_with("OK holds=true"), "{reply:?}");
         assert!(reply[0].contains(witnesses), "{left}: {}", reply[0]);
         assert!(reply[0].contains(cached), "{left}: {}", reply[0]);
@@ -208,39 +181,39 @@ fn permuted_cert_ucheck_blocks_follow_the_request_order() {
     for (left, refuted) in
         [(format!("{b} or {a}"), "refuted=0"), (format!("{a} or {b}"), "refuted=1")]
     {
-        let reply = client.send_multi(&format!("CERT UCHECK app {left} ;; {one}"));
+        let reply = lines(&mut client, &format!("CERT UCHECK app {left} ;; {one}"));
         assert!(reply[0].starts_with("OK holds=false"), "{reply:?}");
         assert!(reply[0].contains(refuted), "{left}: {}", reply[0]);
         check_union_block(&reply[1..reply.len() - 1].join("\n"), &left, one, false);
     }
-    let stats = client.send_multi("STATS");
+    let stats = lines(&mut client, "STATS");
     assert!(stats.iter().any(|l| l == "persist.cert_rejected 0"), "{stats:?}");
 }
 
 #[test]
 fn union_budget_and_depth_failures_are_structured() {
     let addr = start_server();
-    let mut client = Client::connect(addr);
-    assert!(client.send("SCHEMA app R(A, B)").starts_with("OK"));
+    let mut client = Conn::dial(addr).expect("connect");
+    assert!(client.request("SCHEMA app R(A, B)").unwrap().starts_with("OK"));
 
     // A 1-step budget trips inside the disjunct kernels: ERR DEADLINE,
     // nothing memoized — the retry computes fresh.
     let union = "select x.B from x in R where x.A = 1 or select x.B from x in R ;; \
                  select y.B from y in R";
-    let reply = client.send(&format!("BUDGET 1 UCHECK app {union}"));
+    let reply = client.request(&format!("BUDGET 1 UCHECK app {union}")).unwrap();
     assert!(reply.starts_with("ERR DEADLINE"), "{reply}");
-    let reply = client.send(&format!("UCHECK app {union}"));
+    let reply = client.request(&format!("UCHECK app {union}")).unwrap();
     assert!(reply.starts_with("OK holds=true"), "{reply}");
     assert!(reply.contains("cached=false"), "{reply}");
 
     // Hostile nesting inside a disjunct is a structured TOODEEP error.
     let hostile = format!("select x.B from x in R or {}", "{".repeat(10_000));
-    let reply = client.send(&format!("UCHECK app {hostile} ;; select y.B from y in R"));
+    let reply = client.request(&format!("UCHECK app {hostile} ;; select y.B from y in R")).unwrap();
     assert!(reply.starts_with("ERR TOODEEP"), "{reply}");
 
     // Too many disjuncts is a syntax error, not a hang.
     let many = vec!["select x.B from x in R"; 65].join(" or ");
-    let reply = client.send(&format!("UCHECK app {many} ;; select y.B from y in R"));
+    let reply = client.request(&format!("UCHECK app {many} ;; select y.B from y in R")).unwrap();
     assert!(reply.starts_with("ERR"), "{reply}");
     assert!(reply.contains("disjuncts"), "{reply}");
 }
@@ -248,24 +221,28 @@ fn union_budget_and_depth_failures_are_structured() {
 #[test]
 fn agg_decides_aggregate_containment_over_tcp() {
     let addr = start_server();
-    let mut client = Client::connect(addr);
+    let mut client = Conn::dial(addr).expect("connect");
 
     // α-renamed count queries are equivalent.
-    let reply = client.send("AGG q(X) :- R(X, Y). | count(Y) ;; q(X) :- R(X, Z). | count(Z)");
+    let reply =
+        client.request("AGG q(X) :- R(X, Y). | count(Y) ;; q(X) :- R(X, Z). | count(Z)").unwrap();
     assert!(reply.starts_with("OK forward=true backward=true equivalent=true"), "{reply}");
 
     // A restricted body loses backward containment.
-    let reply = client.send("AGG q(X) :- R(X, Y), S(X). | count(Y) ;; q(X) :- R(X, Y). | count(Y)");
+    let reply = client
+        .request("AGG q(X) :- R(X, Y), S(X). | count(Y) ;; q(X) :- R(X, Y). | count(Y)")
+        .unwrap();
     assert!(reply.starts_with("OK"), "{reply}");
     assert!(reply.contains("equivalent=false"), "{reply}");
 
     // Different aggregate functions never match.
-    let reply = client.send("AGG q(X) :- R(X, Y). | count(Y) ;; q(X) :- R(X, Y). | sum(Y)");
+    let reply =
+        client.request("AGG q(X) :- R(X, Y). | count(Y) ;; q(X) :- R(X, Y). | sum(Y)").unwrap();
     assert!(reply.contains("equivalent=false"), "{reply}");
 
     // Malformed requests answer a single ERR line.
     for bad in ["AGG", "AGG only one side", "AGG q(X :- R. ;; q(X) :- R(X)."] {
-        let reply = client.send(bad);
+        let reply = client.request(bad).unwrap();
         assert!(reply.starts_with("ERR"), "`{bad}` → {reply}");
     }
 
@@ -273,32 +250,32 @@ fn agg_decides_aggregate_containment_over_tcp() {
     let atoms: Vec<String> = (0..65).map(|i| format!("R(X, Y{i})")).collect();
     let big =
         format!("AGG q(X) :- {}. | count(Y0) ;; q(X) :- R(X, Y). | count(Y)", atoms.join(", "));
-    let reply = client.send(&big);
+    let reply = client.request(&big).unwrap();
     assert!(reply.starts_with("ERR TOODEEP"), "{reply}");
 }
 
 #[test]
 fn nest_decides_sequence_equivalence_over_tcp() {
     let addr = start_server();
-    let mut client = Client::connect(addr);
-    assert!(client.send("SCHEMA app R(A, B)").starts_with("OK"));
+    let mut client = Conn::dial(addr).expect("connect");
+    assert!(client.request("SCHEMA app R(A, B)").unwrap().starts_with("OK"));
 
     // unnest ∘ nest is the identity: ν then μ restores the base relation.
-    let reply = client.send("NEST app R ; nest B as G ; unnest G ;; R");
+    let reply = client.request("NEST app R ; nest B as G ; unnest G ;; R").unwrap();
     assert!(reply.starts_with("OK equivalent=true"), "{reply}");
     assert!(reply.contains("ops1=2 ops2=0"), "{reply}");
 
     // A bare nest changes the type: not equivalent to the base.
-    let reply = client.send("NEST app R ; nest B as G ;; R");
+    let reply = client.request("NEST app R ; nest B as G ;; R").unwrap();
     assert!(reply.starts_with("OK equivalent=false"), "{reply}");
 
     // Unknown schemas and malformed steps answer single ERR lines.
-    let reply = client.send("NEST nope R ;; R");
+    let reply = client.request("NEST nope R ;; R").unwrap();
     assert!(reply.starts_with("ERR"), "{reply}");
     for bad in
         ["NEST app", "NEST app R ;; ", "NEST app R ; pivot B ;; R", "NEST app R ; nest as G ;; R"]
     {
-        let reply = client.send(bad);
+        let reply = client.request(bad).unwrap();
         assert!(reply.starts_with("ERR"), "`{bad}` → {reply}");
         assert!(!reply.contains('\n'), "`{bad}` reply must be one line");
     }
@@ -308,12 +285,12 @@ fn nest_decides_sequence_equivalence_over_tcp() {
     for i in 0..33 {
         steps.push_str(&format!(" ; nest B as G{i} ; unnest G{i}"));
     }
-    let reply = client.send(&format!("NEST app {steps} ;; R"));
+    let reply = client.request(&format!("NEST app {steps} ;; R")).unwrap();
     assert!(reply.starts_with("ERR TOODEEP"), "{reply}");
 
     // EXPLAIN/CERT do not apply to the structural verbs.
-    let reply = client.send("EXPLAIN NEST app R ;; R");
+    let reply = client.request("EXPLAIN NEST app R ;; R").unwrap();
     assert!(reply.starts_with("ERR EXPLAIN"), "{reply}");
-    let reply = client.send("CERT AGG q(X) :- R(X, Y). ;; q(X) :- R(X, Y).");
+    let reply = client.request("CERT AGG q(X) :- R(X, Y). ;; q(X) :- R(X, Y).").unwrap();
     assert!(reply.starts_with("ERR CERT"), "{reply}");
 }

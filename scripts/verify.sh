@@ -2,9 +2,8 @@
 # Repo verification: formatting, lints, tier-1 build+test, full workspace.
 #
 # Everything here runs offline (no registry access). The proptest suites
-# and criterion benches are feature-gated (`slow-tests`,
-# `criterion-benches`) and need their dev-dependencies restored in the
-# manifests first — they are not part of this gate. Exception:
+# are feature-gated (`slow-tests`) and need their dev-dependency restored
+# in the manifests first — they are not part of this gate. Exception:
 # co-service's `slow-tests` feature pulls no dependencies, so its soak
 # test runs here.
 set -euo pipefail

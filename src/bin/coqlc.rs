@@ -27,6 +27,7 @@ use std::time::Duration;
 use co_cq::{Database, RelName, Schema};
 use co_lang::{parse_coql, CoDatabase, Expr};
 use co_object::Atom;
+use co_service::wire::Conn;
 
 fn main() -> ExitCode {
     match run() {
@@ -444,60 +445,32 @@ fn cert_union_remote(
     u2: &co_core::PreparedUnion,
     equiv: bool,
 ) -> Result<String, String> {
-    let decl: Vec<String> = strip_comments(schema_text)
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty())
-        .map(String::from)
-        .collect();
-    let reply = remote_exchange(addr, &format!("SCHEMA coqlc_cert {}", decl.join("; ")))
-        .map_err(|e| format!("connect: {addr}: {e}"))?;
-    if reply.starts_with("ERR") {
-        return Err(reply);
-    }
     let verb = if equiv { "UEQUIV" } else { "UCHECK" };
-    let request = format!("CERT {verb} coqlc_cert {} ;; {}", one_line(q1_text), one_line(q2_text));
-    let reply = remote_exchange(addr, &request).map_err(|e| format!("connect: {addr}: {e}"))?;
-    let first = reply.lines().next().unwrap_or("").to_string();
-    if let Some(tail) = first.strip_prefix("ERR TOODEEP") {
-        return Err(format!("TOODEEP{tail}"));
-    }
-    if first.starts_with("ERR") {
-        return Err(first);
-    }
-    let claimed = |name: &str| -> Result<bool, String> {
-        first
-            .split_whitespace()
-            .find_map(|kv| kv.strip_prefix(name))
-            .map(|v| v == "true")
-            .ok_or_else(|| format!("certfail: verdict line lacks {name}: {first}"))
-    };
-    let expectations: Vec<(&co_core::PreparedUnion, &co_core::PreparedUnion, bool, &str)> = if equiv
-    {
-        vec![(u1, u2, claimed("forward=")?, "q1 ⊑ q2"), (u2, u1, claimed("backward=")?, "q2 ⊑ q1")]
-    } else {
-        vec![(u1, u2, claimed("holds=")?, "q1 ⊑ q2")]
-    };
-    let body: Vec<&str> = reply.lines().skip(1).take_while(|l| *l != "END").collect();
-    let body = body.join("\n");
-    let mut rest = body.as_str();
-    let mut out = String::new();
-    let _ = writeln!(out, "{first}");
-    for (a, b, holds, label) in expectations {
-        let (cert, after) = co_cert::UnionCert::parse_prefix(rest)
-            .map_err(|e| format!("certfail: server union certificate does not parse: {e}"))?;
-        rest = after;
-        check_union_cert(&cert, a, b, holds).map_err(|e| {
-            format!(
-                "certfail: server union certificate for {label} failed the co-cert \
+    certify_remote(
+        addr,
+        schema_text,
+        verb,
+        q1_text,
+        q2_text,
+        equiv,
+        |body, forward, holds, label| {
+            let (a, b) = if forward { (u1, u2) } else { (u2, u1) };
+            let (cert, rest) = co_cert::UnionCert::parse_prefix(body)
+                .map_err(|e| format!("certfail: server union certificate does not parse: {e}"))?;
+            check_union_cert(&cert, a, b, holds).map_err(|e| {
+                format!(
+                    "certfail: server union certificate for {label} failed the co-cert \
                      re-check: {e}"
-            )
-        })?;
-        let _ = writeln!(out, "{label} : {holds}   (certified by local co-cert re-check)");
-    }
-    Ok(out.trim_end().to_string())
+                )
+            })?;
+            Ok(rest)
+        },
+    )
 }
 
+/// Remote certification via `CERT CHECK`/`CERT EQUIV`: each `COCERT1`
+/// block is re-checked against the locally prepared queries and the
+/// locally derived decision path.
 fn cert_remote(
     addr: &str,
     schema_text: &str,
@@ -507,30 +480,73 @@ fn cert_remote(
     p2: &co_core::Prepared,
     equiv: bool,
 ) -> Result<String, String> {
+    let verb = if equiv { "EQUIV" } else { "CHECK" };
+    certify_remote(
+        addr,
+        schema_text,
+        verb,
+        q1_text,
+        q2_text,
+        equiv,
+        |body, forward, holds, label| {
+            let (a, b) = if forward { (p1, p2) } else { (p2, p1) };
+            let (cert, rest) = co_cert::Cert::parse_prefix(body)
+                .map_err(|e| format!("certfail: server certificate does not parse: {e}"))?;
+            cert.check_against(
+                &a.tree,
+                &b.tree,
+                holds,
+                co_core::cert_path(co_core::expected_path(a, b)),
+            )
+            .map_err(|e| {
+                format!("certfail: server certificate for {label} failed the co-cert re-check: {e}")
+            })?;
+            Ok(rest)
+        },
+    )
+}
+
+/// The remote half of `coqlc cert`: registers the schema as `coqlc_cert`,
+/// asks `CERT <verb>`, and hands each certificate block of the reply to
+/// `check(body, forward, claimed holds, label)`, which re-checks it and
+/// returns the body after the block. The verdict line is only a claim:
+/// one block per claimed direction must prove it.
+fn certify_remote<F>(
+    addr: &str,
+    schema_text: &str,
+    verb: &str,
+    q1_text: &str,
+    q2_text: &str,
+    equiv: bool,
+    check: F,
+) -> Result<String, String>
+where
+    F: for<'a> Fn(&'a str, bool, bool, &str) -> Result<&'a str, String>,
+{
+    let ask = |line: &str| {
+        Conn::dial(addr)
+            .and_then(|mut conn| conn.request(line))
+            .map_err(|e| format!("connect: {addr}: {e}"))
+    };
     let decl: Vec<String> = strip_comments(schema_text)
         .lines()
         .map(str::trim)
         .filter(|l| !l.is_empty())
         .map(String::from)
         .collect();
-    let reply = remote_exchange(addr, &format!("SCHEMA coqlc_cert {}", decl.join("; ")))
-        .map_err(|e| format!("connect: {addr}: {e}"))?;
+    let reply = ask(&format!("SCHEMA coqlc_cert {}", decl.join("; ")))?;
     if reply.starts_with("ERR") {
         return Err(reply);
     }
-    let verb = if equiv { "EQUIV" } else { "CHECK" };
-    let request = format!("CERT {verb} coqlc_cert {} ;; {}", one_line(q1_text), one_line(q2_text));
-    let reply = remote_exchange(addr, &request).map_err(|e| format!("connect: {addr}: {e}"))?;
-    let first = reply.lines().next().unwrap_or("").to_string();
+    let reply =
+        ask(&format!("CERT {verb} coqlc_cert {} ;; {}", one_line(q1_text), one_line(q2_text)))?;
+    let first = reply.lines().next().unwrap_or("");
     if let Some(tail) = first.strip_prefix("ERR TOODEEP") {
         return Err(format!("TOODEEP{tail}"));
     }
     if first.starts_with("ERR") {
-        return Err(first);
+        return Err(first.to_string());
     }
-    // The verdict line is only a claim; each certificate block must prove
-    // it against the *locally* prepared queries and the locally derived
-    // decision path.
     let claimed = |name: &str| -> Result<bool, String> {
         first
             .split_whitespace()
@@ -538,29 +554,19 @@ fn cert_remote(
             .map(|v| v == "true")
             .ok_or_else(|| format!("certfail: verdict line lacks {name}: {first}"))
     };
-    let expectations: Vec<(&co_core::Prepared, &co_core::Prepared, bool, &str)> = if equiv {
-        vec![(p1, p2, claimed("forward=")?, "q1 ⊑ q2"), (p2, p1, claimed("backward=")?, "q2 ⊑ q1")]
+    let directions = if equiv {
+        vec![(true, claimed("forward=")?), (false, claimed("backward=")?)]
     } else {
-        vec![(p1, p2, claimed("holds=")?, "q1 ⊑ q2")]
+        vec![(true, claimed("holds=")?)]
     };
     let body: Vec<&str> = reply.lines().skip(1).take_while(|l| *l != "END").collect();
     let body = body.join("\n");
     let mut rest = body.as_str();
     let mut out = String::new();
     let _ = writeln!(out, "{first}");
-    for (a, b, holds, label) in expectations {
-        let (cert, after) = co_cert::Cert::parse_prefix(rest)
-            .map_err(|e| format!("certfail: server certificate does not parse: {e}"))?;
-        rest = after;
-        cert.check_against(
-            &a.tree,
-            &b.tree,
-            holds,
-            co_core::cert_path(co_core::expected_path(a, b)),
-        )
-        .map_err(|e| {
-            format!("certfail: server certificate for {label} failed the co-cert re-check: {e}")
-        })?;
+    for (forward, holds) in directions {
+        let label = if forward { "q1 ⊑ q2" } else { "q2 ⊑ q1" };
+        rest = check(rest, forward, holds, label)?;
         let _ = writeln!(out, "{label} : {holds}   (certified by local co-cert re-check)");
     }
     Ok(out.trim_end().to_string())
@@ -697,7 +703,7 @@ fn cmd_remote(args: &[String]) -> Result<String, String> {
             // Jittered 50ms, 100ms, 200ms, ... capped at 1s.
             std::thread::sleep(backoff.next_delay());
         }
-        match remote_exchange(addr, &request) {
+        match Conn::dial(addr).and_then(|mut conn| conn.request(&request)) {
             Err(e) => {
                 last_failure =
                     format!("connect: {addr}: {e} (attempt {}/{})", attempt + 1, retries + 1);
@@ -723,90 +729,6 @@ fn cmd_remote(args: &[String]) -> Result<String, String> {
         }
     }
     Err(last_failure)
-}
-
-/// One request/reply exchange: dial, send the line, read the complete
-/// reply (multi-line replies read to their terminator, which is kept).
-fn remote_exchange(addr: &str, request: &str) -> std::io::Result<String> {
-    use co_service::{read_bounded_line, write_line, LineRead};
-    use std::io::{BufReader, ErrorKind};
-    use std::net::{TcpStream, ToSocketAddrs};
-    let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        std::io::Error::new(ErrorKind::InvalidInput, format!("unresolvable `{addr}`"))
-    })?;
-    let stream = TcpStream::connect_timeout(&sock, Duration::from_secs(2))?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    write_line(&mut writer, request)?;
-    let mut read_line = || -> std::io::Result<String> {
-        match read_bounded_line(&mut reader, MAX_REPLY_LINE_BYTES, None)? {
-            LineRead::Line(line) => Ok(line),
-            LineRead::Eof => {
-                Err(std::io::Error::new(ErrorKind::UnexpectedEof, "server closed connection"))
-            }
-            LineRead::TooLarge => Err(std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("reply line exceeds {MAX_REPLY_LINE_BYTES} bytes"),
-            )),
-            LineRead::IdleTimeout => {
-                Err(std::io::Error::new(ErrorKind::TimedOut, "server did not reply in time"))
-            }
-        }
-    };
-    let first = read_line()?;
-    let mut reply = first.clone();
-    if let Some(terminator) = reply_terminator(request, &first) {
-        loop {
-            let line = read_line()?;
-            reply.push('\n');
-            reply.push_str(&line);
-            if line == terminator {
-                break;
-            }
-        }
-    }
-    let _ = write_line(&mut writer, "QUIT");
-    Ok(reply)
-}
-
-/// Longest reply line `coqlc` accepts: far above any line a server sends
-/// (`SNAPEXPORT` chunks its hex payload into 4096-character lines).
-const MAX_REPLY_LINE_BYTES: usize = 1 << 20;
-
-/// Which terminator line (if any) closes the reply to `request`, given
-/// its first reply line. Single-line replies (plain CHECK verdicts, all
-/// ERRs) return `None`.
-fn reply_terminator(request: &str, first: &str) -> Option<&'static str> {
-    if first.starts_with("ERR") {
-        return None;
-    }
-    let mut rest = request.trim();
-    let mut multiline = false;
-    loop {
-        let (head, tail) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
-        match head.to_ascii_uppercase().as_str() {
-            "EXPLAIN" | "CERT" => {
-                multiline = true;
-                rest = tail.trim_start();
-            }
-            "TIMEOUT" | "BUDGET" => {
-                // Skip the prefix and its numeric argument.
-                let tail = tail.trim_start();
-                rest = tail.split_once(char::is_whitespace).map_or("", |(_, r)| r).trim_start();
-            }
-            verb => {
-                return match verb {
-                    "STATS" | "SHARDS" | "SNAPEXPORT" => Some("END"),
-                    "METRICS" => Some("# EOF"),
-                    "CHECK" | "EQUIV" | "UCHECK" | "UEQUIV" if multiline => Some("END"),
-                    _ => None,
-                };
-            }
-        }
-    }
 }
 
 fn cmd_encode(schema_text: &str, db_text: &str) -> Result<String, String> {
@@ -975,26 +897,6 @@ mod tests {
         let err = cmd_remote(&[addr, "CHECK".into(), "app".into()]).unwrap_err();
         assert!(err.starts_with("ERR unknown schema"), "{err}");
         server.join().unwrap();
-    }
-
-    #[test]
-    fn reply_terminators_follow_the_protocol() {
-        assert_eq!(reply_terminator("STATS", "uptime_seconds 1"), Some("END"));
-        assert_eq!(reply_terminator("METRICS", "# HELP x y"), Some("# EOF"));
-        assert_eq!(reply_terminator("SHARDS", "127.0.0.1:1 up=true"), Some("END"));
-        assert_eq!(reply_terminator("CHECK app a ;; b", "OK true"), None);
-        assert_eq!(reply_terminator("EXPLAIN CHECK app a ;; b", "OK true"), Some("END"));
-        assert_eq!(reply_terminator("TIMEOUT 50 EXPLAIN EQUIV app a ;; b", "OK true"), Some("END"));
-        assert_eq!(reply_terminator("CERT CHECK app a ;; b", "OK true"), Some("END"));
-        assert_eq!(reply_terminator("CERT TIMEOUT 9 EQUIV app a ;; b", "OK true"), Some("END"));
-        assert_eq!(reply_terminator("UCHECK app a or b ;; c", "OK holds=true"), None);
-        assert_eq!(reply_terminator("CERT UCHECK app a or b ;; c", "OK holds=true"), Some("END"));
-        assert_eq!(reply_terminator("EXPLAIN UEQUIV app a ;; b or c", "OK true"), Some("END"));
-        assert_eq!(reply_terminator("AGG q(X) :- R(X). ;; q(X) :- R(X).", "OK forward=true"), None);
-        assert_eq!(reply_terminator("NEST app R ;; R", "OK equivalent=true"), None);
-        // ERR replies are single-line even under EXPLAIN/CERT.
-        assert_eq!(reply_terminator("EXPLAIN CHECK app a ;; b", "ERR DEADLINE"), None);
-        assert_eq!(reply_terminator("CERT CHECK app a ;; b", "ERR CERTUNAVAILABLE x"), None);
     }
 
     /// Prepared pair where q1 ⊑ q2 holds and the converse fails.

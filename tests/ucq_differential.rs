@@ -21,16 +21,15 @@
 //! meets the PR-10 floor of 200 decided pairs, `scripts/verify.sh` drives
 //! it explicitly.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use co_cq::hom::{set_default_strategy, CandidateStrategy};
 use co_cq::Schema;
 use co_lang::Expr;
 use co_object::par;
+use co_service::wire::Conn;
 use co_service::{serve, Engine, EngineConfig, ServerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -174,35 +173,6 @@ fn start_server(kernel_threads: usize) -> SocketAddr {
     addr
 }
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect to coqld");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        Client { reader: BufReader::new(stream.try_clone().unwrap()), writer: stream }
-    }
-
-    fn send(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("read reply");
-        reply.trim_end().to_string()
-    }
-
-    fn ucheck(&mut self, u1: &str, u2: &str) -> bool {
-        let reply = self.send(&format!("UCHECK app {u1} ;; {u2}"));
-        if let Some(rest) = reply.strip_prefix("OK holds=") {
-            return rest.starts_with("true");
-        }
-        panic!("UCHECK {u1} ;; {u2} → {reply}");
-    }
-}
-
 #[test]
 fn three_way_union_verdicts_agree_across_configurations() {
     let schema = schema();
@@ -214,10 +184,10 @@ fn three_way_union_verdicts_agree_across_configurations() {
         ("bitset", CandidateStrategy::Bitset),
         ("adaptive", CandidateStrategy::Adaptive),
     ];
-    let mut clients: Vec<(usize, Client)> =
-        [1usize, 2].iter().map(|&t| (t, Client::connect(start_server(t)))).collect();
+    let mut clients: Vec<(usize, Conn)> =
+        [1usize, 2].iter().map(|&t| (t, Conn::dial(start_server(t)).expect("connect"))).collect();
     for (_, client) in &mut clients {
-        assert!(client.send("SCHEMA app R(A, B); S(C)").starts_with("OK"));
+        assert!(client.request("SCHEMA app R(A, B); S(C)").unwrap().starts_with("OK"));
     }
 
     let (mut decided, mut positives, mut negatives) = (0usize, 0usize, 0usize);
@@ -266,7 +236,11 @@ fn three_way_union_verdicts_agree_across_configurations() {
         // The live servers (1 and 2 kernel threads) must answer the same
         // verdict through the wire path — first compute, then memo.
         for (threads, client) in &mut clients {
-            let served = client.ucheck(&u1, &u2);
+            let reply = client.request(&format!("UCHECK app {u1} ;; {u2}")).unwrap();
+            let served = match reply.strip_prefix("OK holds=") {
+                Some(rest) => rest.starts_with("true"),
+                None => panic!("UCHECK {u1} ;; {u2} → {reply}"),
+            };
             assert_eq!(
                 served, expected,
                 "server[{threads} kernel thread(s)] disagrees on {u1} ;; {u2}"
