@@ -10,7 +10,7 @@
 //!
 //! `perf` measures the old kernels (linear-scan homomorphism search, sweep
 //! simulation, single-threaded pattern loops) against the new ones
-//! (adaptive indexed/bitset MRV search, worklist simulation, parallel
+//! (adaptive linear-scan/indexed MRV search, worklist simulation, parallel
 //! kernels) on E1/E2/E3-style workloads and writes a `co-bench/perf-v2`
 //! JSON report with per-case p50/p95/p99. `check` re-parses a report
 //! (v1 or v2) and validates it: schema shape, positive timings, and 100%

@@ -3,7 +3,7 @@
 //! Runs E1/E2/E3-style workloads twice — once against the baseline kernels
 //! (linear-scan candidate generation, sweep simulation, single-threaded
 //! pattern loops) and once against the shipped ones (adaptive strategy
-//! pick over pattern-indexed MRV / bitset search, worklist simulation,
+//! pick over linear-scan / pattern-indexed MRV search, worklist simulation,
 //! intra-request parallel kernels) — and reports per-case p50/p95/p99 wall
 //! times, speedups, and verdict agreement as a JSON document
 //! (`BENCH_PR10.json` at the repo root; see the `co-bench` binary and the
@@ -540,7 +540,7 @@ pub fn run_report(opts: &PerfOptions) -> Json {
         ("baseline".into(), Json::str("linear-scan hom + sweep simulation + 1-thread kernels")),
         (
             "candidate".into(),
-            Json::str("adaptive indexed/bitset MRV hom + worklist simulation + parallel kernels"),
+            Json::str("adaptive indexed MRV hom + worklist simulation + parallel kernels"),
         ),
         ("runs_per_case".into(), Json::num(opts.runs as f64)),
         ("quick".into(), Json::Bool(opts.quick)),

@@ -3,8 +3,8 @@
 //! The trusted base of the certified-verdict pipeline (ROADMAP item 3,
 //! modeled on axiograph's fast-mode/certified-mode split). The decision
 //! kernels in `co-cq`/`co-sim`/`co-core` are *fast* but complex —
-//! pattern-indexed MRV search, bitset domains, work-stealing parallel
-//! pattern loops — and a bug in any of them silently flips verdicts. This
+//! pattern-indexed MRV search, an adaptive engine pick, work-stealing
+//! parallel pattern loops — and a bug in any of them silently flips verdicts. This
 //! crate re-checks a [`Cert`] against the two query trees using nothing
 //! but naive, deliberately dumb evaluation:
 //!

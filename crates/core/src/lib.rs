@@ -297,7 +297,25 @@ const CERTIFY_CHILD_COPIES: [usize; 4] = [1, 0, 2, 3];
 /// re-derives the witness family itself); negative verdicts re-run the
 /// tree walk for the refuted emptiness pattern and search the canonical
 /// instantiation family for a concrete refuting database.
+///
+/// An expired thread-local [`co_object::interrupt`] budget yields
+/// [`CertifyError::Interrupted`], never a certificate built from evidence
+/// an abandoned search truncated.
 pub fn certify_prepared(
+    p1: &Prepared,
+    p2: &Prepared,
+    analysis: &ContainmentAnalysis,
+) -> Result<co_cert::Cert, CertifyError> {
+    let minted = mint_certificate(p1, p2, analysis);
+    // Expiry is sticky, so one probe tells whether any kernel above
+    // swallowed it (the flat mapping search reads it as "no mapping").
+    if interrupt::probe().is_err() {
+        return Err(CertifyError::Interrupted);
+    }
+    minted
+}
+
+fn mint_certificate(
     p1: &Prepared,
     p2: &Prepared,
     analysis: &ContainmentAnalysis,
@@ -379,7 +397,9 @@ pub fn certify_prepared(
             &CERTIFY_ROOT_COPIES,
             &CERTIFY_CHILD_COPIES,
             require_empty_free,
-        ) {
+        )
+        .map_err(|_| CertifyError::Interrupted)?
+        {
             Some(db) => Ok(co_cert::Cert {
                 holds: false,
                 path: cpath,

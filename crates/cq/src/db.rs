@@ -55,63 +55,11 @@ impl PatternIndex {
     }
 }
 
-/// A packed per-column bit index: for one column, maps each atom to a
-/// bitset (little-endian `u64` words) over snapshot tuple ids — bit `i`
-/// set ⇔ `snapshot()[i]` holds that atom in the column.
-///
-/// The bitset homomorphism engine intersects these word-wise to build
-/// candidate domains: binding several columns is an `&` cascade, filtering
-/// forbidden values is `& !`, and MRV counting is a popcount — all
-/// word-parallel instead of per-candidate hash probing.
-#[derive(Debug, Default)]
-pub struct BitIndex {
-    len: usize,
-    words: usize,
-    by_value: HashMap<Atom, Vec<u64>>,
-}
-
-impl BitIndex {
-    /// Number of tuples (bits) covered by the index.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the indexed relation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of `u64` words per bitset.
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
-    /// The bitset of tuple ids holding `value` in this column, or `None`
-    /// if the value never occurs (an all-zero domain).
-    pub fn bits(&self, value: Atom) -> Option<&[u64]> {
-        self.by_value.get(&value).map(Vec::as_slice)
-    }
-
-    /// A fresh all-ones domain over the indexed tuples (tail bits beyond
-    /// `len` are zero, so popcounts are exact).
-    pub fn full_domain(&self) -> Vec<u64> {
-        let mut words = vec![u64::MAX; self.words];
-        let tail = self.len % 64;
-        if tail != 0 {
-            if let Some(last) = words.last_mut() {
-                *last = (1u64 << tail) - 1;
-            }
-        }
-        words
-    }
-}
-
 /// Lazily-built derived state of a relation; cleared on every mutation.
 #[derive(Debug, Default)]
 struct RelCache {
     sorted: Option<Arc<Vec<Tuple>>>,
     indexes: HashMap<PositionMask, Arc<PatternIndex>>,
-    bit_indexes: HashMap<usize, Arc<BitIndex>>,
 }
 
 /// A flat relation: a finite set of equal-arity tuples.
@@ -235,30 +183,6 @@ impl Relation {
         let idx = Arc::new(PatternIndex { buckets });
         let mut cache = self.cache.write().expect("relation cache lock poisoned");
         let entry = cache.indexes.entry(mask).or_insert_with(|| Arc::clone(&idx));
-        Arc::clone(entry)
-    }
-
-    /// The packed bit index of this relation for column `pos`: each atom
-    /// occurring there maps to a bitset over [`Relation::snapshot`] tuple
-    /// ids. Built lazily on first use and cached until the next mutation,
-    /// like [`Relation::pattern_index`].
-    pub fn bit_index(&self, pos: usize) -> Arc<BitIndex> {
-        if let Some(idx) =
-            self.cache.read().expect("relation cache lock poisoned").bit_indexes.get(&pos)
-        {
-            return Arc::clone(idx);
-        }
-        let snapshot = self.snapshot();
-        let len = snapshot.len();
-        let words = len.div_ceil(64);
-        let mut by_value: HashMap<Atom, Vec<u64>> = HashMap::new();
-        for (id, tuple) in snapshot.iter().enumerate() {
-            let Some(&atom) = tuple.get(pos) else { continue };
-            by_value.entry(atom).or_insert_with(|| vec![0u64; words])[id / 64] |= 1u64 << (id % 64);
-        }
-        let idx = Arc::new(BitIndex { len, words, by_value });
-        let mut cache = self.cache.write().expect("relation cache lock poisoned");
-        let entry = cache.bit_indexes.entry(pos).or_insert_with(|| Arc::clone(&idx));
         Arc::clone(entry)
     }
 
@@ -436,31 +360,6 @@ mod tests {
         let db = Database::from_ints(&[("R", &[&[1, 2], &[2, 3]])]);
         let dom = db.active_domain();
         assert_eq!(dom.len(), 3);
-    }
-
-    #[test]
-    fn bit_index_matches_snapshot_columns() {
-        let mut r = Relation::new();
-        for i in 0..70i64 {
-            r.insert(vec![Atom::int(i % 3), Atom::int(i)]);
-        }
-        let snapshot = r.snapshot();
-        let idx = r.bit_index(0);
-        assert_eq!(idx.len(), 70);
-        assert_eq!(idx.words(), 2);
-        for value in 0..3i64 {
-            let bits = idx.bits(Atom::int(value)).unwrap();
-            for (id, tuple) in snapshot.iter().enumerate() {
-                let set = bits[id / 64] >> (id % 64) & 1 != 0;
-                assert_eq!(set, tuple[0] == Atom::int(value), "value {value} id {id}");
-            }
-        }
-        assert!(idx.bits(Atom::int(99)).is_none());
-        let full = idx.full_domain();
-        assert_eq!(full.iter().map(|w| w.count_ones()).sum::<u32>(), 70);
-        // Mutation invalidates the cached bit index.
-        r.insert(vec![Atom::int(7), Atom::int(1000)]);
-        assert_eq!(r.bit_index(0).len(), 71);
     }
 
     #[test]

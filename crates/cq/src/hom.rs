@@ -17,11 +17,6 @@
 //!   positions ([`crate::db::Relation::pattern_index`]). Only tuples that
 //!   agree with the partial assignment on the bound positions are ever
 //!   probed.
-//! * [`CandidateStrategy::Bitset`]: MRV over **packed bitset domains**
-//!   ([`crate::db::Relation::bit_index`]) — a candidate domain is the
-//!   word-wise AND of per-column value bitsets, `forbidden` values are
-//!   masked out with AND-NOT before any probe, and the MRV count is a
-//!   popcount. The word-parallel sibling of `Indexed`.
 //! * [`CandidateStrategy::LinearScan`]: the original kernel — a static
 //!   greedy atom order fixed up front ([`plan_order`]) and a full scan of
 //!   each atom's relation at every depth. Kept as the differential-testing
@@ -34,9 +29,9 @@
 //!
 //! All strategies visit exactly the same solution set, respect the same
 //! `forbidden` semantics, and charge the step budget the same way: **one
-//! step per candidate-tuple probe**. (Indexed and bitset search probe
-//! fewer candidates, so a budget generous enough for the linear scan is
-//! always generous enough for them on the same instance.)
+//! step per candidate-tuple probe**. (Indexed search probes fewer
+//! candidates, so a budget generous enough for the linear scan is always
+//! generous enough for it on the same instance.)
 //!
 //! The engine can report the first solution, enumerate all solutions
 //! through a callback, or count solutions, and carries an optional step
@@ -66,7 +61,7 @@ use co_object::interrupt::{self, SharedBudget};
 use co_object::{par, Atom};
 use co_trace::kernel::{self, Metric};
 
-use crate::db::{BitIndex, Database, PatternIndex, PositionMask, Relation, Tuple};
+use crate::db::{Database, PatternIndex, PositionMask, Relation, Tuple};
 use crate::query::{QueryAtom, Term};
 use crate::schema::Var;
 
@@ -99,9 +94,6 @@ pub enum CandidateStrategy {
     /// Full-relation scans in a static greedy atom order (the original
     /// kernel; oracle and benchmark baseline).
     LinearScan,
-    /// Packed `u64` bitset domains per atom: candidate generation,
-    /// `forbidden` filtering, and MRV counting are word-parallel.
-    Bitset,
     /// Per-problem pick (the default): `LinearScan` below
     /// [`ADAPTIVE_THRESHOLD`], `Indexed` above it.
     Adaptive,
@@ -125,7 +117,7 @@ pub const ADAPTIVE_THRESHOLD: usize = 64;
 /// without threading a parameter through every layer.
 static DEFAULT_STRATEGY: AtomicU8 = AtomicU8::new(DEFAULT_STRATEGY_ADAPTIVE);
 
-const DEFAULT_STRATEGY_ADAPTIVE: u8 = 3;
+const DEFAULT_STRATEGY_ADAPTIVE: u8 = 2;
 
 /// Sets the process-wide default [`CandidateStrategy`].
 ///
@@ -136,7 +128,6 @@ pub fn set_default_strategy(s: CandidateStrategy) {
     let code = match s {
         CandidateStrategy::Indexed => 0,
         CandidateStrategy::LinearScan => 1,
-        CandidateStrategy::Bitset => 2,
         CandidateStrategy::Adaptive => DEFAULT_STRATEGY_ADAPTIVE,
     };
     DEFAULT_STRATEGY.store(code, Ordering::Relaxed);
@@ -147,7 +138,6 @@ pub fn default_strategy() -> CandidateStrategy {
     match DEFAULT_STRATEGY.load(Ordering::Relaxed) {
         0 => CandidateStrategy::Indexed,
         1 => CandidateStrategy::LinearScan,
-        2 => CandidateStrategy::Bitset,
         _ => CandidateStrategy::Adaptive,
     }
 }
@@ -533,21 +523,6 @@ fn search(
             };
             state.run()
         }
-        CandidateStrategy::Bitset => {
-            let mut state = BitsetSearch {
-                atoms,
-                rels: &rels,
-                snapshots: rels.iter().map(|r| r.snapshot()).collect(),
-                bit_cache: vec![HashMap::new(); atoms.len()],
-                scratch: Vec::new(),
-                remaining: (0..atoms.len()).collect(),
-                binding,
-                steps_left: budget,
-                forbidden,
-                visit,
-            };
-            state.run()
-        }
         CandidateStrategy::LinearScan => {
             let order = plan_order(atoms, &binding, db);
             let mut state = LinearSearch {
@@ -765,187 +740,6 @@ impl IndexedSearch<'_, '_> {
     }
 }
 
-/// The bitset engine: MRV over packed candidate domains.
-///
-/// For each remaining atom, the candidate domain is a packed bitset over
-/// the relation snapshot, built word-parallel: AND the per-column value
-/// bitsets of every determined argument position, then AND-NOT the
-/// bitsets of `forbidden` values at unbound-variable positions. MRV picks
-/// the atom with the smallest popcount; only set bits are ever probed.
-///
-/// Probes charge budgets exactly like the other engines (one step per
-/// probed candidate), but because `forbidden` values are masked out
-/// *before* probing, the bitset engine can probe strictly fewer
-/// candidates than `Indexed` on forbidden-heavy instances — the solution
-/// set is unchanged (those probes fail in [`try_bind`] anyway).
-struct BitsetSearch<'a, 'f> {
-    atoms: &'a [QueryAtom],
-    rels: &'a [&'a Relation],
-    snapshots: Vec<Arc<Vec<Tuple>>>,
-    /// Per-atom memo of the relation's per-column bit indexes (one lock
-    /// round trip per (atom, column), then lock-free).
-    bit_cache: Vec<HashMap<usize, Arc<BitIndex>>>,
-    /// Reusable domain buffer for the MRV counting pass.
-    scratch: Vec<u64>,
-    /// Indices of atoms not yet matched.
-    remaining: Vec<usize>,
-    binding: Assignment,
-    steps_left: Option<u64>,
-    forbidden: &'a HashMap<Var, HashSet<Atom>>,
-    visit: &'f mut dyn FnMut(&Assignment) -> ControlFlow<()>,
-}
-
-impl BitsetSearch<'_, '_> {
-    /// The memoized per-column bit index for atom `i`, column `pos`.
-    fn bit_index(&mut self, i: usize, pos: usize) -> Arc<BitIndex> {
-        match self.bit_cache[i].entry(pos) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                kernel::bump(Metric::HomIndexHits);
-                Arc::clone(e.get())
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                kernel::bump(Metric::HomIndexBuilds);
-                Arc::clone(v.insert(self.rels[i].bit_index(pos)))
-            }
-        }
-    }
-
-    /// Builds atom `i`'s candidate domain under the current binding into
-    /// `out` and returns its popcount.
-    fn domain_into(&mut self, i: usize, out: &mut Vec<u64>) -> usize {
-        let n = self.snapshots[i].len();
-        let words = n.div_ceil(64);
-        out.clear();
-        let mut initialized = false;
-        for pos in 0..self.atoms[i].args.len() {
-            let term = &self.atoms[i].args[pos];
-            let value = match term {
-                Term::Const(c) => Some(*c),
-                Term::Var(v) => self.binding.get(v).copied(),
-            };
-            if let Some(a) = value {
-                let idx = self.bit_index(i, pos);
-                match idx.bits(a) {
-                    Some(bits) => {
-                        if initialized {
-                            for (w, &b) in out.iter_mut().zip(bits) {
-                                *w &= b;
-                            }
-                        } else {
-                            out.extend_from_slice(bits);
-                            initialized = true;
-                        }
-                    }
-                    None => {
-                        // Value absent from the column: empty domain.
-                        out.clear();
-                        out.resize(words, 0);
-                        return 0;
-                    }
-                }
-            } else if let Term::Var(v) = term {
-                if let Some(banned) = self.forbidden.get(v) {
-                    let idx = self.bit_index(i, pos);
-                    for &a in banned {
-                        if let Some(bits) = idx.bits(a) {
-                            if !initialized {
-                                *out = idx.full_domain();
-                                initialized = true;
-                            }
-                            for (w, &b) in out.iter_mut().zip(bits) {
-                                *w &= !b;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !initialized {
-            *out = self.bit_index(i, 0).full_domain();
-        }
-        out.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    fn run(&mut self) -> SearchOutcome {
-        if self.remaining.is_empty() {
-            kernel::bump(Metric::HomSolutions);
-            return match (self.visit)(&self.binding) {
-                ControlFlow::Break(()) => SearchOutcome::Stopped,
-                ControlFlow::Continue(()) => SearchOutcome::Exhausted,
-            };
-        }
-        // MRV by popcount; ties break on original position, zero counts
-        // stop the scan — exactly the `IndexedSearch` node discipline.
-        let mut pick = 0;
-        let mut pick_atom = usize::MAX;
-        let mut best = usize::MAX;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for slot in 0..self.remaining.len() {
-            let i = self.remaining[slot];
-            let count = self.domain_into(i, &mut scratch);
-            if count < best || (count == best && i < pick_atom) {
-                best = count;
-                pick = slot;
-                pick_atom = i;
-            }
-            if best == 0 {
-                break;
-            }
-        }
-        let i = self.remaining.swap_remove(pick);
-        // Re-derive the picked atom's domain (the scratch holds a later
-        // atom's); it lives across the recursion, so it gets its own
-        // buffer while the scratch goes back for the children to reuse.
-        let mut domain = Vec::new();
-        self.domain_into(i, &mut domain);
-        self.scratch = scratch;
-        let snapshot = Arc::clone(&self.snapshots[i]);
-        let atom = &self.atoms[i];
-        let outcome = (|| {
-            for (w, &word) in domain.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let id = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    kernel::bump(Metric::HomProbes);
-                    if let Some(budget) = &mut self.steps_left {
-                        if *budget == 0 {
-                            return Err(SearchOutcome::BudgetExceeded);
-                        }
-                        *budget -= 1;
-                    }
-                    if interrupt::probe().is_err() {
-                        return Err(SearchOutcome::Interrupted);
-                    }
-                    if let Some(newly) =
-                        try_bind(&mut self.binding, self.forbidden, atom, &snapshot[id])
-                    {
-                        let outcome = self.run();
-                        for v in newly {
-                            self.binding.remove(&v);
-                        }
-                        match outcome {
-                            SearchOutcome::Exhausted => {}
-                            stop => return Err(stop),
-                        }
-                    }
-                }
-            }
-            Ok(())
-        })();
-        self.remaining.push(i);
-        let last = self.remaining.len() - 1;
-        self.remaining.swap(pick, last);
-        match outcome {
-            Ok(()) => {
-                kernel::bump(Metric::HomBacktracks);
-                SearchOutcome::Exhausted
-            }
-            Err(stop) => stop,
-        }
-    }
-}
-
 /// The original kernel: static plan, full-relation scans. Retained verbatim
 /// as the oracle for differential tests and the `co-bench perf` baseline.
 struct LinearSearch<'a, 'f> {
@@ -1076,14 +870,12 @@ mod tests {
         Term::var(name)
     }
 
-    /// Runs the same closure under all three concrete strategies and
-    /// asserts identical results.
+    /// Runs the same closure under both concrete strategies and asserts
+    /// identical results.
     fn both<R: PartialEq + std::fmt::Debug>(f: impl Fn(CandidateStrategy) -> R) -> R {
         let indexed = f(CandidateStrategy::Indexed);
         let linear = f(CandidateStrategy::LinearScan);
-        let bitset = f(CandidateStrategy::Bitset);
         assert_eq!(indexed, linear, "Indexed and LinearScan disagree");
-        assert_eq!(indexed, bitset, "Indexed and Bitset disagree");
         indexed
     }
 
@@ -1265,12 +1057,9 @@ mod tests {
     #[test]
     fn default_strategy_round_trips() {
         assert_eq!(default_strategy(), CandidateStrategy::Adaptive);
-        for s in [
-            CandidateStrategy::Indexed,
-            CandidateStrategy::LinearScan,
-            CandidateStrategy::Bitset,
-            CandidateStrategy::Adaptive,
-        ] {
+        for s in
+            [CandidateStrategy::Indexed, CandidateStrategy::LinearScan, CandidateStrategy::Adaptive]
+        {
             set_default_strategy(s);
             assert_eq!(default_strategy(), s);
         }
@@ -1292,50 +1081,12 @@ mod tests {
         assert_eq!(p.resolved_strategy(), CandidateStrategy::Indexed);
 
         // Explicit strategies pass through untouched.
-        let p = HomProblem::new(&atoms, &small).with_strategy(CandidateStrategy::Bitset);
-        assert_eq!(p.resolved_strategy(), CandidateStrategy::Bitset);
+        let p = HomProblem::new(&atoms, &small).with_strategy(CandidateStrategy::Indexed);
+        assert_eq!(p.resolved_strategy(), CandidateStrategy::Indexed);
     }
 
     #[test]
-    fn bitset_prefilters_forbidden_values() {
-        // 100 tuples, 99 of them forbidden for x: the bitset engine must
-        // still find the sole allowed solution, probing only unmasked
-        // candidates.
-        let tuples: Vec<Vec<i64>> = (0..100).map(|i| vec![i]).collect();
-        let refs: Vec<&[i64]> = tuples.iter().map(|t| t.as_slice()).collect();
-        let db = Database::from_ints(&[("R", &refs)]);
-        let atoms = vec![QueryAtom::new("R", vec![v("x")])];
-        let mut forbidden: HashMap<Var, HashSet<Atom>> = HashMap::new();
-        forbidden.insert(Var::new("x"), (0..100).filter(|&i| i != 42).map(Atom::int).collect());
-        let sols = both(|s| {
-            let mut sols = Vec::new();
-            let outcome = HomProblem::new(&atoms, &db)
-                .with_strategy(s)
-                .with_forbidden(forbidden.clone())
-                .for_each(|a| {
-                    sols.push(a[&Var::new("x")]);
-                    ControlFlow::Continue(())
-                });
-            assert_eq!(outcome, SearchOutcome::Exhausted);
-            sols
-        });
-        assert_eq!(sols, vec![Atom::int(42)]);
-        // And the pre-filter really skips probes: budget 1 suffices for
-        // Bitset where Indexed needs to probe-and-reject the forbidden 99.
-        let sol = HomProblem::new(&atoms, &db)
-            .with_strategy(CandidateStrategy::Bitset)
-            .with_forbidden(forbidden.clone())
-            .with_budget(1)
-            .first()
-            .unwrap()
-            .unwrap();
-        assert_eq!(sol[&Var::new("x")], Atom::int(42));
-    }
-
-    #[test]
-    fn bitset_handles_wide_and_repeated_columns() {
-        // Repeated variable (diagonal) and a 70-tuple relation so domains
-        // span more than one u64 word.
+    fn repeated_variables_match_the_diagonal() {
         let tuples: Vec<Vec<i64>> = (0..70).map(|i| vec![i % 7, i]).collect();
         let refs: Vec<&[i64]> = tuples.iter().map(|t| t.as_slice()).collect();
         let db = Database::from_ints(&[("R", &refs)]);
@@ -1366,9 +1117,7 @@ mod tests {
             QueryAtom::new("R", vec![v("y"), v("z")]),
             QueryAtom::new("R", vec![v("z"), v("x")]),
         ];
-        for s in
-            [CandidateStrategy::Indexed, CandidateStrategy::LinearScan, CandidateStrategy::Bitset]
-        {
+        for s in [CandidateStrategy::Indexed, CandidateStrategy::LinearScan] {
             let seq = HomProblem::new(&atoms, &db).with_strategy(s).with_threads(1).first();
             let par = HomProblem::new(&atoms, &db).with_strategy(s).with_threads(4).first();
             assert_eq!(seq.as_ref().map(Option::is_some), par.as_ref().map(Option::is_some));

@@ -226,6 +226,63 @@ fn step_budget_exhaustion_times_out_without_caching() {
     assert!(!cached, "nothing may have been cached by the starved attempt");
 }
 
+/// A `CERT` request whose step budget expires while the certificate is
+/// being minted answers a timeout, `CERTUNAVAILABLE`, or a certificate
+/// `co-cert` accepts — never one whose database does not refute. One
+/// engine per pair, so later budgets re-certify a cached verdict on the
+/// hit path. The deep pair (`deep_differential` seed 27) has no canonical
+/// counterexample; the nested pair mints one once the budget suffices.
+#[test]
+fn cert_under_step_budgets_is_a_timeout_unavailable_or_valid() {
+    let schema = co_cq::Schema::with_relations(&[("R", &["A", "B"]), ("S", &["C"])]);
+    let pairs = [
+        (
+            "select [a: x.A, g: (select [b: y.B, h: (select z.B from z in R where z.B = x.A \
+             and z.B = 0)] from y in R where y.A = x.A)] from x in R",
+            "select [a: x.A, g: (select [b: y.B, h: (select z.C from z in S)] from y in R)] \
+             from x in R",
+            false,
+        ),
+        (
+            "select [a: x.A, g: (select y.C from y in S)] from x in R",
+            "select [a: x.A, g: (select y.C from y in S where y.C = x.A)] from x in R",
+            true,
+        ),
+    ];
+    for (q1, q2, mints) in pairs {
+        let engine = Engine::new(EngineConfig {
+            cache_shards: 1,
+            cache_per_shard: 8,
+            workers: 1,
+            ..EngineConfig::default()
+        });
+        engine.register_schema("s", schema.clone());
+        let prepare =
+            |q: &str| co_core::prepare(&co_lang::parse_coql(q).unwrap(), &schema).unwrap();
+        let (p1, p2) = (prepare(q1), prepare(q2));
+        let expect_path = co_core::cert_path(co_core::expected_path(&p1, &p2));
+        let mut minted = false;
+        for steps in (0..800).step_by(20).map(Some).chain([None]) {
+            let budget = steps.map_or_else(RequestBudget::default, RequestBudget::with_steps);
+            let request = Request::new(Op::Check, "s", q1, q2).with_cert(true).with_budget(budget);
+            match engine.decide(&request) {
+                Ok(Decision::TimedOut { .. }) => assert!(steps.is_some(), "{q1}: timed out"),
+                Ok(Decision::Containment { analysis, cert: Some(wire), .. }) => {
+                    co_cert::Cert::parse(&wire)
+                        .and_then(|cert| {
+                            cert.check_against(&p1.tree, &p2.tree, analysis.holds, expect_path)
+                        })
+                        .unwrap_or_else(|e| panic!("{q1} at {steps:?} steps: {e}\n{wire}"));
+                    minted = true;
+                }
+                Err(e) if e.starts_with("CERTUNAVAILABLE") && !mints => {}
+                other => panic!("{q1} at {steps:?} steps: {other:?}"),
+            }
+        }
+        assert_eq!(minted, mints, "{q1} ;; {q2}");
+    }
+}
+
 #[test]
 fn hard_instance_deadline_is_not_memoized() {
     let server = TestServer::start(test_config());

@@ -157,8 +157,25 @@ impl QueryTree {
 
     /// Evaluates the tree on a flat database to a complex-object value
     /// (always a set).
+    ///
+    /// Panics if a thread-local [`co_object::interrupt`] budget expires
+    /// during the evaluation — callers running under a budget must use
+    /// [`QueryTree::try_evaluate`].
     pub fn evaluate(&self, db: &Database) -> Value {
-        self.root.eval_set(db, &[])
+        self.try_evaluate(db).expect("interrupted: use try_evaluate under an interrupt budget")
+    }
+
+    /// Cancellable variant of [`QueryTree::evaluate`]: an expired
+    /// thread-local budget yields `Err(Interrupted)`, never a set truncated
+    /// by an abandoned search.
+    ///
+    /// Child sets are memoized for the length of one evaluation, keyed by
+    /// (child node, link arguments). A child whose link arguments repeat
+    /// across parent bindings is computed once — for a link of arity 0,
+    /// once in total instead of once per parent binding, which is what
+    /// keeps nested uncorrelated subqueries polynomial here.
+    pub fn try_evaluate(&self, db: &Database) -> Result<Value, Interrupted> {
+        self.root.eval_set(db, &[], &mut ChildSets::new())
     }
 
     /// Set-nesting depth of the result type.
@@ -220,44 +237,72 @@ impl TreeNode {
     }
 
     /// Evaluates this node's set at the given index arguments.
-    pub fn eval_set(&self, db: &Database, args: &[Atom]) -> Value {
+    fn eval_set(
+        &self,
+        db: &Database,
+        args: &[Atom],
+        memo: &mut ChildSets,
+    ) -> Result<Value, Interrupted> {
         debug_assert_eq!(args.len(), self.query.index.len());
         let Some(fixed) = bind_index(&self.query.index, args) else {
-            return Value::empty_set();
+            return Ok(Value::empty_set());
         };
         if self.query.unsatisfiable {
-            return Value::empty_set();
+            return Ok(Value::empty_set());
         }
         let mut elems = Vec::new();
-        HomProblem::new(&self.query.body, db).with_fixed(fixed).for_each(|assignment| {
-            elems.push(self.instantiate(db, assignment));
-            ControlFlow::Continue(())
-        });
-        Value::set(elems)
+        let mut interrupted = false;
+        let outcome = HomProblem::new(&self.query.body, db).with_fixed(fixed).for_each(
+            |assignment| match self.instantiate(&self.template, db, assignment, memo) {
+                Ok(elem) => {
+                    elems.push(elem);
+                    ControlFlow::Continue(())
+                }
+                Err(Interrupted) => {
+                    interrupted = true;
+                    ControlFlow::Break(())
+                }
+            },
+        );
+        if interrupted || outcome == SearchOutcome::Interrupted {
+            return Err(Interrupted);
+        }
+        Ok(Value::set(elems))
     }
 
-    fn instantiate(&self, db: &Database, assignment: &Assignment) -> Value {
-        self.instantiate_template(&self.template, db, assignment)
-    }
-
-    fn instantiate_template(&self, t: &Template, db: &Database, assignment: &Assignment) -> Value {
-        match t {
+    fn instantiate(
+        &self,
+        t: &Template,
+        db: &Database,
+        assignment: &Assignment,
+        memo: &mut ChildSets,
+    ) -> Result<Value, Interrupted> {
+        Ok(match t {
             Template::AtomCol(i) => Value::Atom(eval_term(&self.query.value[*i], assignment)),
             Template::Record(fields) => Value::record(
                 fields
                     .iter()
-                    .map(|(f, sub)| (*f, self.instantiate_template(sub, db, assignment)))
-                    .collect(),
+                    .map(|(f, sub)| Ok((*f, self.instantiate(sub, db, assignment, memo)?)))
+                    .collect::<Result<_, Interrupted>>()?,
             )
             .expect("templates have distinct labels"),
             Template::Child(j) => {
                 let child = &self.children[*j];
                 let args: Vec<Atom> = child.link.iter().map(|t| eval_term(t, assignment)).collect();
-                child.node.eval_set(db, &args)
+                let key = (&child.node as *const TreeNode, args);
+                if let Some(set) = memo.get(&key) {
+                    return Ok(set.clone());
+                }
+                let set = child.node.eval_set(db, &key.1, memo)?;
+                memo.insert(key, set.clone());
+                set
             }
-        }
+        })
     }
 }
+
+/// One evaluation's child sets, keyed by (child node, link arguments).
+type ChildSets = HashMap<(*const TreeNode, Vec<Atom>), Value>;
 
 fn eval_term(t: &Term, assignment: &Assignment) -> Atom {
     match t {
@@ -1399,8 +1444,13 @@ mod strong_tree_tests {
 /// instantiations are where violations surface first; the workspace
 /// differential tests use this alongside random search to corroborate
 /// every negative answer.
+///
+/// Panics if a thread-local [`co_object::interrupt`] budget expires during
+/// the search — callers running under a budget must use
+/// [`search_tree_counterexample_among`].
 pub fn search_tree_counterexample(t1: &QueryTree, t2: &QueryTree) -> Option<Database> {
     search_tree_counterexample_among(t1, t2, &[1, 2], &[1, 0, 2], false)
+        .expect("interrupted: use search_tree_counterexample_among under an interrupt budget")
 }
 
 /// [`search_tree_counterexample`] over an explicit canonical family
@@ -1422,20 +1472,24 @@ pub fn search_tree_counterexample(t1: &QueryTree, t2: &QueryTree) -> Option<Data
 /// verdict would be filtered out. Padding can only *add* candidate
 /// databases — every returned database is verified by direct evaluation,
 /// so soundness never depends on how it was built.
+///
+/// An expired thread-local [`co_object::interrupt`] budget yields
+/// `Err(Interrupted)`: a truncated evaluation could "refute" on a database
+/// that does not refute.
 pub fn search_tree_counterexample_among(
     t1: &QueryTree,
     t2: &QueryTree,
     root_copies: &[usize],
     child_copies: &[usize],
     require_empty_free: bool,
-) -> Option<Database> {
-    let refutes = |db: &Database| -> bool {
-        let v1 = t1.evaluate(db);
-        let v2 = t2.evaluate(db);
+) -> Result<Option<Database>, Interrupted> {
+    let refutes = |db: &Database| -> Result<bool, Interrupted> {
+        let v1 = t1.try_evaluate(db)?;
+        let v2 = t2.try_evaluate(db)?;
         if require_empty_free && (v1.contains_empty_set() || v2.contains_empty_set()) {
-            return false;
+            return Ok(false);
         }
-        !co_object::hoare_leq(&v1, &v2)
+        Ok(!co_object::hoare_leq(&v1, &v2))
     };
     for &roots in root_copies {
         for &copies in child_copies {
@@ -1444,18 +1498,18 @@ pub fn search_tree_counterexample_among(
             for _ in 0..roots {
                 instantiate_subtree(&t1.root, &[], copies, &mut assignment, &mut db);
             }
-            if refutes(&db) {
-                return Some(db);
+            if refutes(&db)? {
+                return Ok(Some(db));
             }
             // Padded variant: inhabit t2-only relations with at least one
             // member per child set, so t2's answer can be empty-set-free.
             instantiate_subtree(&t2.root, &[], copies.max(1), &mut assignment, &mut db);
-            if refutes(&db) {
-                return Some(db);
+            if refutes(&db)? {
+                return Ok(Some(db));
             }
         }
     }
-    None
+    Ok(None)
 }
 
 /// When both trees are depth-1 (no child sets) with matching element

@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # Repo verification: formatting, lints, tier-1 build+test, full workspace.
 #
-# Everything here runs offline (no registry access). The proptest suites
-# are feature-gated (`slow-tests`) and need their dev-dependency restored
-# in the manifests first — they are not part of this gate. Exception:
-# co-service's `slow-tests` feature pulls no dependencies, so its soak
-# test runs here.
+# Everything here runs offline (no registry access). co-service's
+# `slow-tests` feature pulls no dependencies; its soak and union-property
+# suites run here.
+#
+# Every server started in the background announces its address in a log
+# that the parent truncates *before* spawning (`: >log; cmd >>log &`):
+# truncating in the forked child would let the parent's first read see the
+# previous run's address.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,6 +72,10 @@ run env CERT_ORACLE_PAIRS=200 cargo test -q --release --test cert_oracle
 # servers — with 100% verdict agreement across every candidate strategy
 # × kernel-thread configuration, both polarities required.
 run env UCQ_DIFFERENTIAL_PAIRS=200 cargo test -q --release --test ucq_differential
+# Property walls (tests/support): the §7 aggregate, §3.1 algebra and
+# building-block properties at widened seed counts, in release.
+run env PROPERTY_CASES=2000 cargo test -q --release --test agg_differential \
+    --test nest_differential --test properties
 # Union canonicalization properties (slow-tests is std-only, like soak):
 # permutation, duplication, and α-renaming never change the union
 # fingerprint; a subsumed disjunct never changes the verdict.
@@ -116,7 +123,8 @@ awk -v p="$P50" 'BEGIN { exit !(p != "" && p + 0 < 5) }' \
     || { echo "live miss-path load: p50 ${P50:-?} ms (limit 5 ms)"; exit 1; }
 
 echo "==> live METRICS scrape (parseable exposition, monotone counters)"
-./target/release/coqld --listen 127.0.0.1:0 --kernel-threads 2 >target/coqld-verify.log 2>&1 &
+: >target/coqld-verify.log
+./target/release/coqld --listen 127.0.0.1:0 --kernel-threads 2 >>target/coqld-verify.log 2>&1 &
 COQLD_PID=$!
 trap 'kill "$COQLD_PID" 2>/dev/null || true' EXIT
 ADDR=
@@ -127,6 +135,13 @@ for _ in $(seq 50); do
 done
 [ -n "$ADDR" ] || { echo "coqld did not announce its address"; exit 1; }
 HOST=${ADDR%:*} PORT=${ADDR##*:}
+if ! (exec 9<>"/dev/tcp/$HOST/$PORT") 2>/dev/null; then
+    STATE=dead
+    kill -0 "$COQLD_PID" 2>/dev/null && STATE=alive
+    echo "first connect to $ADDR failed; coqld pid $COQLD_PID is $STATE; its log:"
+    cat target/coqld-verify.log
+    exit 1
+fi
 
 # One connection per call: send the given request lines, print the reply.
 req() {
@@ -311,23 +326,28 @@ announced_addr() { # <logfile> <announce-prefix>: wait for the boot line
     echo "$addr"
 }
 
-./target/release/coqld --listen 127.0.0.1:0 --allow-handoff >target/fleet-s1.log 2>&1 &
+: >target/fleet-s1.log
+./target/release/coqld --listen 127.0.0.1:0 --allow-handoff >>target/fleet-s1.log 2>&1 &
 FLEET_PIDS="$FLEET_PIDS $!"
-./target/release/coqld --listen 127.0.0.1:0 --allow-handoff >target/fleet-s2.log 2>&1 &
+: >target/fleet-s2.log
+./target/release/coqld --listen 127.0.0.1:0 --allow-handoff >>target/fleet-s2.log 2>&1 &
 S2_PID=$!
 FLEET_PIDS="$FLEET_PIDS $S2_PID"
-./target/release/coqld --listen 127.0.0.1:0 --allow-handoff >target/fleet-s3.log 2>&1 &
+: >target/fleet-s3.log
+./target/release/coqld --listen 127.0.0.1:0 --allow-handoff >>target/fleet-s3.log 2>&1 &
 FLEET_PIDS="$FLEET_PIDS $!"
-./target/release/coqld --listen 127.0.0.1:0 >target/fleet-oracle.log 2>&1 &
+: >target/fleet-oracle.log
+./target/release/coqld --listen 127.0.0.1:0 >>target/fleet-oracle.log 2>&1 &
 FLEET_PIDS="$FLEET_PIDS $!"
 S1=$(announced_addr target/fleet-s1.log 'coqld: listening on ')
 S2=$(announced_addr target/fleet-s2.log 'coqld: listening on ')
 S3=$(announced_addr target/fleet-s3.log 'coqld: listening on ')
 ORACLE=$(announced_addr target/fleet-oracle.log 'coqld: listening on ')
+: >target/fleet-router.log
 ./target/release/coqld-router --listen 127.0.0.1:0 \
     --shard "$S1" --shard "$S2" --shard "$S3" \
     --probe-interval-ms 200 --down-after 2 --retries 3 \
-    >target/fleet-router.log 2>&1 &
+    >>target/fleet-router.log 2>&1 &
 FLEET_PIDS="$FLEET_PIDS $!"
 ROUTER=$(announced_addr target/fleet-router.log 'coqld-router: listening on ')
 
@@ -399,7 +419,8 @@ grep -q '^router_routed_total ' target/fleet-counters-2.txt \
     || { echo "router families missing from the aggregated exposition"; exit 1; }
 
 # Phase 3: warm handoff — a fourth shard joins and receives the cache.
-./target/release/coqld --listen 127.0.0.1:0 --allow-handoff >target/fleet-s4.log 2>&1 &
+: >target/fleet-s4.log
+./target/release/coqld --listen 127.0.0.1:0 --allow-handoff >>target/fleet-s4.log 2>&1 &
 FLEET_PIDS="$FLEET_PIDS $!"
 S4=$(announced_addr target/fleet-s4.log 'coqld: listening on ')
 req_at "$ROUTER" "HANDOFF $S4" >target/fleet-handoff.txt
@@ -449,27 +470,32 @@ run cargo test -q -p co-router --features fault-inject --test chaos
 
 CHAOS_PIDS=
 trap 'kill $CHAOS_PIDS $FLEET_PIDS "$COQLD_PID" 2>/dev/null || true' EXIT
-./target/release/coqld --listen 127.0.0.1:0 >target/chaos-c1.log 2>&1 &
+: >target/chaos-c1.log
+./target/release/coqld --listen 127.0.0.1:0 >>target/chaos-c1.log 2>&1 &
 CHAOS_PIDS="$CHAOS_PIDS $!"
-./target/release/coqld --listen 127.0.0.1:0 >target/chaos-c2.log 2>&1 &
+: >target/chaos-c2.log
+./target/release/coqld --listen 127.0.0.1:0 >>target/chaos-c2.log 2>&1 &
 C2_PID=$!
 CHAOS_PIDS="$CHAOS_PIDS $C2_PID"
 # The flaky shard: every 9th reply truncated mid-write, every 7th stalled.
+: >target/chaos-c3.log
 COQLD_FAULTS='drop=9,stall=7:300' ./target/chaos/release/coqld --listen 127.0.0.1:0 \
-    >target/chaos-c3.log 2>&1 &
+    >>target/chaos-c3.log 2>&1 &
 CHAOS_PIDS="$CHAOS_PIDS $!"
-./target/release/coqld --listen 127.0.0.1:0 >target/chaos-oracle.log 2>&1 &
+: >target/chaos-oracle.log
+./target/release/coqld --listen 127.0.0.1:0 >>target/chaos-oracle.log 2>&1 &
 CHAOS_PIDS="$CHAOS_PIDS $!"
 C1=$(announced_addr target/chaos-c1.log 'coqld: listening on ')
 C2=$(announced_addr target/chaos-c2.log 'coqld: listening on ')
 C3=$(announced_addr target/chaos-c3.log 'coqld: listening on ')
 CORACLE=$(announced_addr target/chaos-oracle.log 'coqld: listening on ')
+: >target/chaos-router.log
 ./target/release/coqld-router --listen 127.0.0.1:0 \
     --shard "$C1" --shard "$C2" --shard "$C3" \
     --replication 2 --hedge-after-ms 150 --hedge-cap-permille 200 \
     --probe-interval-ms 200 --down-after 2 --retries 3 \
     --breaker-open-ms 400 --breaker-max-open-ms 2000 \
-    >target/chaos-router.log 2>&1 &
+    >>target/chaos-router.log 2>&1 &
 CHAOS_PIDS="$CHAOS_PIDS $!"
 CROUTER=$(announced_addr target/chaos-router.log 'coqld-router: listening on ')
 

@@ -21,22 +21,26 @@
 //! (the binary-drill test only exercises child processes and scripted
 //! sockets, so it can run alongside).
 //!
-//! `CERT_ORACLE_PAIRS` (env) scales the pair count; the default keeps the
-//! suite fast, `scripts/verify.sh` drives it at 200+.
+//! `CERT_ORACLE_PAIRS` (env, read by the `support` harness) scales the
+//! pair count; the default keeps the suite fast, `scripts/verify.sh`
+//! drives it at 200+.
 
 use std::io::{BufRead, BufReader, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::Arc;
 use std::thread;
 
 use co_cq::hom::{set_default_strategy, CandidateStrategy};
 use co_cq::{Schema, Var};
 use co_lang::Expr;
-use co_object::par;
+use co_object::{interrupt, par};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod support;
+
+const PAIRS_VAR: &str = "CERT_ORACLE_PAIRS";
 
 fn schema() -> Schema {
     Schema::with_relations(&[("R", &["A", "B"]), ("S", &["C"])])
@@ -249,23 +253,21 @@ fn certified_union_verdict(
 #[test]
 fn every_verdict_carries_a_checkable_certificate() {
     let schema = schema();
-    let pairs: u64 =
-        std::env::var("CERT_ORACLE_PAIRS").ok().and_then(|v| v.parse().ok()).unwrap_or(60);
+    let pairs = support::cases(PAIRS_VAR, 60);
     let strategies = [
         ("indexed", CandidateStrategy::Indexed),
         ("linear-scan", CandidateStrategy::LinearScan),
-        ("bitset", CandidateStrategy::Bitset),
         ("adaptive", CandidateStrategy::Adaptive),
     ];
     let mut positives = 0u64;
     let mut negatives = 0u64;
     let mut checked = 0u64;
-    for seed in 0..pairs {
+    support::for_seeds(PAIRS_VAR, 0..pairs, |seed| {
         let q1 = random_query(seed);
         let q2 = random_query(seed + 30_000);
         let (Ok(p1), Ok(p2)) = (co_core::prepare(&q1, &schema), co_core::prepare(&q2, &schema))
         else {
-            continue;
+            return;
         };
         // The verdict (and its certificate) must not depend on how the
         // kernel enumerates candidates or how many threads it uses.
@@ -295,20 +297,20 @@ fn every_verdict_carries_a_checkable_certificate() {
                 }
             }
         }
-    }
+    });
     // Union phase: every UCHECK-shaped verdict must carry a checkable
     // COUNION1 certificate under the same configuration sweep, in both
     // directions.
     let union_pairs = (pairs / 2).max(12);
     let (mut u_positives, mut u_negatives) = (0u64, 0u64);
-    for seed in 0..union_pairs {
+    support::for_seeds(PAIRS_VAR, 0..union_pairs, |seed| {
         let (u1, u2) = union_pair(seed);
         let d1 = co_lang::parse_union_coql(&u1).expect("left union parses");
         let d2 = co_lang::parse_union_coql(&u2).expect("right union parses");
         let (Ok(l), Ok(r)) =
             (co_core::prepare_union(&d1, &schema), co_core::prepare_union(&d2, &schema))
         else {
-            continue;
+            return;
         };
         let mut baseline: Option<(bool, bool)> = None;
         for (sname, strategy) in strategies {
@@ -338,7 +340,7 @@ fn every_verdict_carries_a_checkable_certificate() {
                 }
             }
         }
-    }
+    });
 
     set_default_strategy(CandidateStrategy::Adaptive);
     par::set_kernel_threads(0);
@@ -352,6 +354,65 @@ fn every_verdict_carries_a_checkable_certificate() {
         u_positives > 0 && u_negatives > 0,
         "degenerate union workload: {u_positives} positive / {u_negatives} negative unions"
     );
+}
+
+/// `deep_differential` seed 27: a depth-3 negative pair whose canonical
+/// counterexample search evaluates `q2`'s uncorrelated inner sets on
+/// padded databases — the most work certificate minting does for a pair
+/// of this size.
+const DEEP_Q1: &str = "select [a: x.A, g: (select [b: y.B, h: (select z.B from z in R \
+                           where z.B = x.A and z.B = 0)] from y in R where y.A = x.A)] \
+                           from x in R";
+const DEEP_Q2: &str = "select [a: x.A, g: (select [b: y.B, h: (select z.C from z in S)] \
+                           from y in R)] from x in R";
+
+/// A step budget that expires while a verdict is being decided or its
+/// certificate minted must surface as an interruption: every answer is
+/// a timeout, an unavailable certificate, or a certificate `co-cert`
+/// accepts. The deep pair's refutation lies outside the canonical family,
+/// so unbudgeted it mints nothing; the other two mint a genuine
+/// certificate (a counterexample, a mapping) once the budget suffices.
+#[test]
+fn budget_expiry_while_minting_never_yields_a_bogus_certificate() {
+    let schema = schema();
+    let nested_loose = "select [a: x.A, g: (select y.C from y in S)] from x in R";
+    let nested_tight = "select [a: x.A, g: (select y.C from y in S where y.C = x.A)] from x in R";
+    let pairs = [
+        (DEEP_Q1, DEEP_Q2, false),
+        (nested_loose, nested_tight, true),
+        ("select x.B from x in R where x.A = 1", "select y.B from y in R", true),
+    ];
+    for (q1, q2, mints) in pairs {
+        let prepare =
+            |q: &str| co_core::prepare(&co_lang::parse_coql(q).unwrap(), &schema).unwrap();
+        let (p1, p2) = (prepare(q1), prepare(q2));
+        let expect_path = co_core::cert_path(co_core::expected_path(&p1, &p2));
+        let mut minted = false;
+        for steps in (0..800).step_by(20).map(Some).chain([None]) {
+            let answer = {
+                let _guard = interrupt::install(interrupt::Budget { deadline: None, steps });
+                match co_core::contained_prepared(&p1, &p2) {
+                    Ok(analysis) => co_core::certify_prepared(&p1, &p2, &analysis)
+                        .map(|cert| (analysis.holds, cert)),
+                    Err(co_core::CoreError::Interrupted) => continue,
+                    Err(e) => panic!("{q1} ;; {q2} at {steps:?} steps: {e}"),
+                }
+            };
+            match answer {
+                Ok((holds, cert)) => {
+                    cert.check_against(&p1.tree, &p2.tree, holds, expect_path)
+                        .unwrap_or_else(|e| panic!("{q1} ;; {q2} at {steps:?} steps: {e}"));
+                    minted = true;
+                }
+                Err(co_core::CertifyError::Interrupted) => {
+                    assert!(steps.is_some(), "{q1} ;; {q2}: interrupted with no budget")
+                }
+                Err(co_core::CertifyError::Unavailable(_)) if !mints => {}
+                Err(e) => panic!("{q1} ;; {q2} at {steps:?} steps: {e}"),
+            }
+        }
+        assert_eq!(minted, mints, "{q1} ;; {q2}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -380,26 +441,6 @@ fn lying_server(replies: Vec<String>) -> SocketAddr {
             let mut quit = String::new();
             let _ = reader.read_line(&mut quit);
         }
-    });
-    addr
-}
-
-/// An honest in-process `coqld` for the positive control.
-fn honest_server() -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().unwrap();
-    let engine = Arc::new(co_service::Engine::new(co_service::EngineConfig {
-        cache_shards: 4,
-        cache_per_shard: 64,
-        workers: 2,
-        ..co_service::EngineConfig::default()
-    }));
-    thread::spawn(move || {
-        let _ = co_service::serve(
-            listener,
-            engine,
-            co_service::ServerConfig { max_connections: 8, ..co_service::ServerConfig::default() },
-        );
     });
     addr
 }
@@ -439,7 +480,7 @@ fn forged_union_certificates_exit_six_from_coqlc_cert() {
     ];
 
     // Positive control: an honest coqld round trip certifies locally.
-    let honest = run_coqlc_cert(honest_server(), &files);
+    let honest = run_coqlc_cert(support::serve_shard(0), &files);
     assert!(
         honest.status.success(),
         "honest server run failed: {}",

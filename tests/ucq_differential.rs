@@ -2,7 +2,7 @@
 //! three independent ways —
 //!
 //! 1. the shipped per-disjunct engine (`co_core::union_contained_prepared`,
-//!    indexed/bitset hom kernels, short-circuit on the first containing
+//!    indexed/linear-scan hom kernels, short-circuit on the first containing
 //!    disjunct),
 //! 2. a naive reference that expands the union and tests each CQ pair
 //!    directly through the scalar `co_core::contained_in` pipeline
@@ -17,22 +17,21 @@
 //! One `#[test]` on purpose: strategy and kernel-thread selection are
 //! process-global, so concurrent test threads would race on them.
 //!
-//! `UCQ_DIFFERENTIAL_PAIRS` (env) scales the pair count; the default
-//! meets the PR-10 floor of 200 decided pairs, `scripts/verify.sh` drives
-//! it explicitly.
-
-use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
-use std::thread;
+//! `UCQ_DIFFERENTIAL_PAIRS` (env, read by the `support` harness) scales
+//! the pair count; the default meets the floor of 200 decided pairs,
+//! `scripts/verify.sh` drives it explicitly.
 
 use co_cq::hom::{set_default_strategy, CandidateStrategy};
 use co_cq::Schema;
 use co_lang::Expr;
 use co_object::par;
 use co_service::wire::Conn;
-use co_service::{serve, Engine, EngineConfig, ServerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+mod support;
+
+const PAIRS_VAR: &str = "UCQ_DIFFERENTIAL_PAIRS";
 
 fn schema() -> Schema {
     Schema::with_relations(&[("R", &["A", "B"]), ("S", &["C"])])
@@ -156,53 +155,31 @@ fn naive_union_verdict(left: &[Expr], right: &[Expr], schema: &Schema) -> bool {
     })
 }
 
-fn start_server(kernel_threads: usize) -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-    let addr = listener.local_addr().unwrap();
-    let engine = Arc::new(Engine::new(EngineConfig {
-        cache_shards: 4,
-        cache_per_shard: 256,
-        workers: 2,
-        kernel_threads,
-        ..EngineConfig::default()
-    }));
-    thread::spawn(move || {
-        let _ =
-            serve(listener, engine, ServerConfig { max_connections: 8, ..ServerConfig::default() });
-    });
-    addr
-}
-
 #[test]
 fn three_way_union_verdicts_agree_across_configurations() {
     let schema = schema();
-    let target: usize =
-        std::env::var("UCQ_DIFFERENTIAL_PAIRS").ok().and_then(|v| v.parse().ok()).unwrap_or(200);
+    let pairs = support::cases(PAIRS_VAR, 200);
     let strategies = [
         ("indexed", CandidateStrategy::Indexed),
         ("linear-scan", CandidateStrategy::LinearScan),
-        ("bitset", CandidateStrategy::Bitset),
         ("adaptive", CandidateStrategy::Adaptive),
     ];
-    let mut clients: Vec<(usize, Conn)> =
-        [1usize, 2].iter().map(|&t| (t, Conn::dial(start_server(t)).expect("connect"))).collect();
+    let mut clients: Vec<(usize, Conn)> = [1usize, 2]
+        .iter()
+        .map(|&t| (t, Conn::dial(support::serve_shard(t)).expect("connect")))
+        .collect();
     for (_, client) in &mut clients {
         assert!(client.request("SCHEMA app R(A, B); S(C)").unwrap().starts_with("OK"));
     }
 
-    let (mut decided, mut positives, mut negatives) = (0usize, 0usize, 0usize);
-    let mut seed = 0u64;
-    while decided < target {
-        seed += 1;
-        assert!(seed < 64 * target as u64, "generator starved: {decided}/{target} pairs");
+    let (mut positives, mut negatives) = (0u64, 0u64);
+    support::for_seeds(PAIRS_VAR, 1..=pairs, |seed| {
         let (u1, u2) = union_pair(seed);
         let d1 = co_lang::parse_union_coql(&u1).expect("left union parses");
         let d2 = co_lang::parse_union_coql(&u2).expect("right union parses");
-        let (Ok(l), Ok(r)) =
-            (co_core::prepare_union(&d1, &schema), co_core::prepare_union(&d2, &schema))
-        else {
-            continue;
-        };
+        // Both sides share one head class, so every pair is well-typed.
+        let l = co_core::prepare_union(&d1, &schema).expect("left union prepares");
+        let r = co_core::prepare_union(&d2, &schema).expect("right union prepares");
 
         // Every kernel configuration must agree with itself, with the
         // naive expansion under the same configuration, and with the
@@ -247,13 +224,12 @@ fn three_way_union_verdicts_agree_across_configurations() {
             );
         }
 
-        decided += 1;
         if expected {
             positives += 1;
         } else {
             negatives += 1;
         }
-    }
+    });
     set_default_strategy(CandidateStrategy::Adaptive);
     par::set_kernel_threads(0);
 
@@ -261,6 +237,6 @@ fn three_way_union_verdicts_agree_across_configurations() {
     // pass — demand real evidence of both.
     assert!(
         positives > 0 && negatives > 0,
-        "degenerate workload: {decided} pairs, {positives} positive / {negatives} negative"
+        "degenerate workload: {pairs} pairs, {positives} positive / {negatives} negative"
     );
 }
