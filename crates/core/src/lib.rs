@@ -169,7 +169,7 @@ pub fn prepare_with(
 }
 
 /// Prepares a query from its result type `ty` and its normal form `nf`
-/// ([`co_lang::normalize`]), for callers that already type-checked and
+/// ([`co_lang::normalize()`]), for callers that already type-checked and
 /// normalized it — a serving layer fingerprints the normal form, so it
 /// need not build either twice. Every other entry point goes through
 /// here.
@@ -790,27 +790,41 @@ pub enum Equivalence {
     WeaklyEquivalentOnly,
 }
 
-/// Decides equivalence where the paper's results allow a definite answer.
-///
-/// * Not weakly equivalent ⟹ [`Equivalence::NotEquivalent`] (equality of
-///   answers implies mutual Hoare containment).
-/// * Weakly equivalent and (both answers empty-set-free, or the result type
-///   is a flat relation) ⟹ [`Equivalence::Equivalent`] (§4; §3.2 for the
-///   flat case).
-/// * Otherwise [`Equivalence::WeaklyEquivalentOnly`].
+/// Decides equivalence where the paper's results allow a definite answer:
+/// both directions of containment, then [`equivalence_verdict`].
 pub fn equivalent(q1: &Expr, q2: &Expr, schema: &Schema) -> Result<Equivalence, CoreError> {
     let p1 = prepare(q1, schema)?;
     let p2 = prepare(q2, schema)?;
-    if !(contained_prepared(&p1, &p2)?.holds && contained_prepared(&p2, &p1)?.holds) {
-        return Ok(Equivalence::NotEquivalent);
+    let forward = contained_prepared(&p1, &p2)?.holds;
+    let backward = forward && contained_prepared(&p2, &p1)?.holds;
+    Ok(equivalence_verdict(&p1, &p2, forward, backward))
+}
+
+/// The §4 collapse, from the two containment verdicts `forward`
+/// (`Q1 ⊑ Q2`) and `backward` (`Q2 ⊑ Q1`):
+///
+/// * not both ⟹ [`Equivalence::NotEquivalent`] (equality of answers
+///   implies mutual Hoare containment);
+/// * both, and (both answers empty-set-free, or both result types flat
+///   relations) ⟹ [`Equivalence::Equivalent`] (§4; §3.2 for the flat
+///   case);
+/// * otherwise [`Equivalence::WeaklyEquivalentOnly`].
+pub fn equivalence_verdict(
+    p1: &Prepared,
+    p2: &Prepared,
+    forward: bool,
+    backward: bool,
+) -> Equivalence {
+    if !(forward && backward) {
+        return Equivalence::NotEquivalent;
     }
     let no_empty =
         p1.empty_status == EmptySetStatus::Free && p2.empty_status == EmptySetStatus::Free;
     let flat = p1.ty.is_flat_relation() && p2.ty.is_flat_relation();
     if no_empty || flat {
-        Ok(Equivalence::Equivalent)
+        Equivalence::Equivalent
     } else {
-        Ok(Equivalence::WeaklyEquivalentOnly)
+        Equivalence::WeaklyEquivalentOnly
     }
 }
 

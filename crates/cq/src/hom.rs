@@ -18,7 +18,7 @@
 //!   agree with the partial assignment on the bound positions are ever
 //!   probed.
 //! * [`CandidateStrategy::LinearScan`]: the original kernel — a static
-//!   greedy atom order fixed up front ([`plan_order`]) and a full scan of
+//!   greedy atom order fixed up front (`plan_order`) and a full scan of
 //!   each atom's relation at every depth. Kept as the differential-testing
 //!   oracle and as the baseline the `co-bench perf` harness measures
 //!   speedups against.

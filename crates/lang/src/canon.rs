@@ -2,7 +2,7 @@
 //!
 //! Two COQL queries that differ only in bound-variable names, in the order
 //! of independent `from` bindings, or in the order (or duplication) of
-//! `where` conjuncts have the same meaning — and, after [`normalize`], the
+//! `where` conjuncts have the same meaning — and, after [`crate::normalize()`], the
 //! same normal form up to α-renaming and generator/condition permutation.
 //! [`canonical_query`] maps a [`Comprehension`] to a string that is
 //! invariant under exactly those presentational differences, so it can be

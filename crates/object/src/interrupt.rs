@@ -11,7 +11,7 @@
 //! The fast path is deliberately cheap: with no budget installed, [`probe`]
 //! is a single thread-local `Cell` load. With one installed, a step counter
 //! is decremented per call and the wall clock is consulted only every
-//! [`RECHECK_EVERY`] probes, so `Instant::now` stays off the hot path.
+//! `RECHECK_EVERY` (64) probes, so `Instant::now` stays off the hot path.
 //!
 //! Expiry is *sticky*: once a budget trips, every subsequent [`probe`] on
 //! the thread fails until the [`BudgetGuard`] is dropped, so a kernel that
@@ -98,7 +98,7 @@ thread_local! {
 ///
 /// Created with [`SharedBudget::fork_current`] from the parent thread's
 /// installed budget: the parent's remaining steps become a central atomic
-/// pool that workers draw [`SLICE`]-sized refills from, and the parent's
+/// pool that workers draw `SLICE`-sized (256-step) refills from, and the parent's
 /// deadline is checked by every worker. A three-state flag distinguishes
 /// *benign* cancellation (a worker found the answer; siblings stop but the
 /// request has not timed out) from *real* expiry (deadline passed or pool
@@ -322,7 +322,7 @@ pub fn active() -> bool {
 /// Accounts one unit of kernel work against the installed budget.
 ///
 /// Returns `Err(Interrupted)` once the step budget is spent or the deadline
-/// has passed (checked every [`RECHECK_EVERY`] probes). With no budget
+/// has passed (checked every `RECHECK_EVERY` = 64 probes). With no budget
 /// installed this is a cheap no-op that always succeeds.
 #[inline]
 pub fn probe() -> Result<(), Interrupted> {

@@ -59,7 +59,7 @@ pub fn kernel_threads() -> usize {
 ///
 /// The kernels call this once per tree node, hom search and union walk,
 /// so it must be cheap: the auto count is resolved once per process (see
-/// [`auto_threads`]).
+/// `auto_threads`).
 pub fn effective_threads() -> usize {
     if in_worker() {
         return 1;

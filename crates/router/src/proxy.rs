@@ -32,11 +32,12 @@ use co_service::{
     parse_schema_decl, peek_header, read_bounded_line, write_line, Fingerprint, LineRead, Shutdown,
     FINGERPRINT_VERSION, FORMAT_VERSION,
 };
-use co_trace::Span;
+use co_trace::Kind::{Counter, Gauge};
+use co_trace::{Exposition, Span};
 
 use crate::backoff::JitteredBackoff;
 use crate::health::{apply_probe, probe, Admission, BreakerConfig, ShardState, Transition};
-use crate::metrics::{aggregate, inject_shard_label};
+use crate::metrics::aggregate;
 use crate::pool::{Checkout, PoolConfig, PooledConn};
 use crate::ring::{hash64, Ring};
 
@@ -746,44 +747,6 @@ impl Router {
         Ok(format!("OK fp={fp}"))
     }
 
-    /// The router's `STATS` payload.
-    fn render_stats(&self) -> String {
-        let fleet = read(&self.fleet);
-        let up = fleet.shards.iter().filter(|s| s.is_up()).count();
-        let mut out = String::new();
-        let mut put = |k: &str, v: String| {
-            out.push_str(k);
-            out.push(' ');
-            out.push_str(&v);
-            out.push('\n');
-        };
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed).to_string();
-        put("uptime_seconds", self.started.elapsed().as_secs().to_string());
-        put("build.format_version", FORMAT_VERSION.to_string());
-        put("build.fingerprint_version", FINGERPRINT_VERSION.to_string());
-        put("router.routed", load(&self.stats.routed));
-        put("router.shed", load(&self.stats.shed));
-        put("router.retries", load(&self.stats.retries));
-        put("router.redials", load(&self.stats.redials));
-        put("router.decision_requests", load(&self.stats.decision_requests));
-        put("router.hedges", load(&self.stats.hedges));
-        put("router.hedge_wins", load(&self.stats.hedge_wins));
-        put("router.hedges_capped", load(&self.stats.hedges_capped));
-        put("router.replication", self.config.replication.to_string());
-        put("router.shard_down_events", load(&self.stats.shard_down));
-        put("router.handoffs", load(&self.stats.handoffs));
-        put("router.probe_failures", load(&self.stats.probe_failures));
-        put("router.local_errors", load(&self.stats.local_errors));
-        put("router.accepted", load(&self.stats.accepted));
-        put("router.client_shed", load(&self.stats.client_shed));
-        put("router.conn_panics", load(&self.stats.conn_panics));
-        put("router.shards", fleet.shards.len().to_string());
-        put("router.shards_up", up.to_string());
-        put("router.schemas", read(&self.schemas).len().to_string());
-        out.push_str("END");
-        out
-    }
-
     /// The `SHARDS` payload: one line of `key=value` pairs per shard.
     fn render_shards(&self) -> String {
         let fleet = read(&self.fleet);
@@ -811,6 +774,50 @@ impl Router {
         out
     }
 
+    /// Every value the router itself exports, as one row list: `STATS`
+    /// is its `key value` rendering, and its Prometheus rendering is
+    /// spliced into the fleet `METRICS` after the shards' families.
+    #[rustfmt::skip]
+    fn exposition(&self, shards: &[Arc<ShardState>]) -> Exposition {
+        let s = &self.stats;
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let mut t = Exposition::new();
+        t.stat("uptime_seconds", self.started.elapsed().as_secs());
+        t.stat("build.format_version", FORMAT_VERSION);
+        t.stat("build.fingerprint_version", FINGERPRINT_VERSION);
+        t.row("router.routed", "router_routed_total", "Requests forwarded and answered", Counter, load(&s.routed));
+        t.row("router.shed", "router_shed_total", "Forward attempts shed to a sibling (overload, exhausted pool, connect failure)", Counter, load(&s.shed));
+        t.row("router.retries", "router_retries_total", "Forward attempts after the first", Counter, load(&s.retries));
+        t.row("router.redials", "router_redials_total", "Poisoned reused connections replaced by a fresh dial mid-attempt", Counter, load(&s.redials));
+        t.row("router.decision_requests", "router_decision_requests_total", "Decision requests (CHECK/EQUIV/UCHECK/UEQUIV/AGG/NEST) that reached the forward path", Counter, load(&s.decision_requests));
+        t.row("router.hedges", "router_hedges_total", "Hedge attempts fired after the primary stayed silent past the hedge delay", Counter, load(&s.hedges));
+        t.row("router.hedge_wins", "router_hedge_wins_total", "Decisions where the hedge answered before the primary", Counter, load(&s.hedge_wins));
+        t.row("router.hedges_capped", "router_hedges_capped_total", "Hedges suppressed by the rate cap", Counter, load(&s.hedges_capped));
+        t.stat("router.replication", self.config.replication);
+        t.row("router.shard_down_events", "router_shard_down_total", "Times a shard crossed the failure threshold and was drained", Counter, load(&s.shard_down));
+        t.row("router.handoffs", "router_handoffs_total", "Warm shard joins completed", Counter, load(&s.handoffs));
+        t.row("router.probe_failures", "router_probe_failures_total", "Health probes that failed", Counter, load(&s.probe_failures));
+        t.row("router.local_errors", "router_local_errors_total", "Requests answered locally with an error (parse/type/unknown schema)", Counter, load(&s.local_errors));
+        t.stat("router.accepted", load(&s.accepted));
+        t.stat("router.client_shed", load(&s.client_shed));
+        t.stat("router.conn_panics", load(&s.conn_panics));
+        t.stat("router.shards", shards.len());
+        t.stat("router.shards_up", shards.iter().filter(|s| s.is_up()).count());
+        t.stat("router.schemas", read(&self.schemas).len());
+        let shard = |s: &ShardState| format!("shard=\"{}\"", s.addr);
+        t.labeled("router_shard_up", "Shard routable right now (1) or drained (0)", Gauge, shards.iter().map(|s| (shard(s), s.is_up() as u8)));
+        t.labeled("router_shard_state", "Circuit-breaker state per shard (0=closed, 1=half-open, 2=open)", Gauge, shards.iter().map(|s| (shard(s), s.breaker.state().as_gauge())));
+        let transitions = shards.iter().flat_map(|s| {
+            let b = &s.breaker;
+            [("open", &b.opened), ("half_open", &b.half_opened), ("close", &b.closed)]
+                .map(|(kind, n)| (format!("{},transition=\"{kind}\"", shard(s)), load(n)))
+        });
+        t.labeled("router_breaker_transitions_total", "Breaker transitions per shard by kind", Counter, transitions);
+        t.labeled("router_forwarded_total", "Requests answered by each shard", Counter, shards.iter().map(|s| (shard(s), load(&s.forwarded))));
+        t.summary("router_forward_latency_us", "Forward latency by shard", shards.iter().map(|s| (shard(s), &s.forward_latency)));
+        t
+    }
+
     /// The fleet `METRICS` payload: every up shard's exposition merged
     /// (summed counters + per-shard `shard=` labels) plus the router's
     /// own families, ending `# EOF`.
@@ -825,133 +832,7 @@ impl Router {
         let mut out = aggregate(&scrapes);
         // Splice the router families in before the trailer.
         out.truncate(out.len() - "# EOF".len());
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let mut counter = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
-        };
-        counter("router_routed_total", "Requests forwarded and answered", load(&self.stats.routed));
-        counter(
-            "router_shed_total",
-            "Forward attempts shed to a sibling (overload, exhausted pool, connect failure)",
-            load(&self.stats.shed),
-        );
-        counter(
-            "router_retries_total",
-            "Forward attempts after the first",
-            load(&self.stats.retries),
-        );
-        counter(
-            "router_redials_total",
-            "Poisoned reused connections replaced by a fresh dial mid-attempt",
-            load(&self.stats.redials),
-        );
-        counter(
-            "router_shard_down_total",
-            "Times a shard crossed the failure threshold and was drained",
-            load(&self.stats.shard_down),
-        );
-        counter("router_handoffs_total", "Warm shard joins completed", load(&self.stats.handoffs));
-        counter(
-            "router_probe_failures_total",
-            "Health probes that failed",
-            load(&self.stats.probe_failures),
-        );
-        counter(
-            "router_decision_requests_total",
-            "Decision requests (CHECK/EQUIV/UCHECK/UEQUIV/AGG/NEST) that reached the forward path",
-            load(&self.stats.decision_requests),
-        );
-        counter(
-            "router_hedges_total",
-            "Hedge attempts fired after the primary stayed silent past the hedge delay",
-            load(&self.stats.hedges),
-        );
-        counter(
-            "router_hedge_wins_total",
-            "Decisions where the hedge answered before the primary",
-            load(&self.stats.hedge_wins),
-        );
-        counter(
-            "router_hedges_capped_total",
-            "Hedges suppressed by the rate cap",
-            load(&self.stats.hedges_capped),
-        );
-        counter(
-            "router_local_errors_total",
-            "Requests answered locally with an error (parse/type/unknown schema)",
-            load(&self.stats.local_errors),
-        );
-        out.push_str("# HELP router_shard_up Shard routable right now (1) or drained (0)\n");
-        out.push_str("# TYPE router_shard_up gauge\n");
-        for s in &shards {
-            out.push_str(&format!(
-                "{} {}\n",
-                inject_shard_label("router_shard_up", &s.addr),
-                s.is_up() as u8
-            ));
-        }
-        out.push_str(
-            "# HELP router_shard_state Circuit-breaker state per shard \
-             (0=closed, 1=half-open, 2=open)\n",
-        );
-        out.push_str("# TYPE router_shard_state gauge\n");
-        for s in &shards {
-            out.push_str(&format!(
-                "{} {}\n",
-                inject_shard_label("router_shard_state", &s.addr),
-                s.breaker.state().as_gauge()
-            ));
-        }
-        out.push_str(
-            "# HELP router_breaker_transitions_total Breaker transitions per shard by kind\n",
-        );
-        out.push_str("# TYPE router_breaker_transitions_total counter\n");
-        for s in &shards {
-            for (kind, count) in [
-                ("open", &s.breaker.opened),
-                ("half_open", &s.breaker.half_opened),
-                ("close", &s.breaker.closed),
-            ] {
-                out.push_str(&format!(
-                    "router_breaker_transitions_total{{shard=\"{}\",transition=\"{kind}\"}} {}\n",
-                    s.addr,
-                    count.load(Ordering::Relaxed)
-                ));
-            }
-        }
-        out.push_str("# HELP router_forwarded_total Requests answered by each shard\n");
-        out.push_str("# TYPE router_forwarded_total counter\n");
-        for s in &shards {
-            out.push_str(&format!(
-                "{} {}\n",
-                inject_shard_label("router_forwarded_total", &s.addr),
-                s.forwarded.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str("# HELP router_forward_latency_us Forward latency by shard\n");
-        out.push_str("# TYPE router_forward_latency_us summary\n");
-        for s in &shards {
-            let h = &s.forward_latency;
-            for (q, tag) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-                out.push_str(&format!(
-                    "router_forward_latency_us{{shard=\"{}\",quantile=\"{tag}\"}} {}\n",
-                    s.addr,
-                    h.quantile(q)
-                ));
-            }
-            out.push_str(&format!(
-                "router_forward_latency_us_sum{{shard=\"{}\"}} {}\n",
-                s.addr,
-                h.sum()
-            ));
-            out.push_str(&format!(
-                "router_forward_latency_us_count{{shard=\"{}\"}} {}\n",
-                s.addr,
-                h.count()
-            ));
-        }
-        out.push_str("# EOF");
-        out
+        out + &self.exposition(&shards).prometheus() + "# EOF"
     }
 
     /// `HANDOFF <addr>`: verify the joining shard's build, push schemas,
@@ -1047,7 +928,7 @@ impl Router {
                     format!("OK schema={name} fp={fp} relations={relations} shards={acked}/{total}")
                 })
             }),
-            Cmd::Stats => Ok(self.render_stats()),
+            Cmd::Stats => Ok(self.exposition(&read(&self.fleet).shards).stats()),
             Cmd::Metrics => Ok(self.render_metrics()),
             Cmd::Shards => Ok(self.render_shards()),
             Cmd::Handoff => self.handoff(verb, rest),
@@ -1340,5 +1221,26 @@ mod tests {
         assert_eq!(Router::route_key(s, a, b), Router::route_key(s, b, a));
         assert_ne!(Router::route_key(s, a, b), Router::route_key(Fingerprint(8), a, b));
         assert_ne!(Router::route_key(s, a, b), Router::route_key(s, a, Fingerprint(2_001)));
+    }
+
+    /// Every family the router itself can emit is a valid Prometheus
+    /// name, and no family or `STATS` key repeats.
+    #[test]
+    fn exported_names_are_valid_and_distinct() {
+        let router = Router::new(&["127.0.0.1:1".to_string()], RouterConfig::default());
+        let shards = read(&router.fleet).shards.clone();
+        let text = router.exposition(&shards).prometheus();
+        let families: Vec<&str> =
+            text.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()).collect();
+        for name in &families {
+            assert!(co_trace::is_valid_metric_name(name), "{name}");
+        }
+        let stats = router.exposition(&shards).stats();
+        let keys: Vec<&str> =
+            stats.lines().filter_map(|l| l.split_once(' ')).map(|l| l.0).collect();
+        for names in [&families, &keys] {
+            let distinct: std::collections::HashSet<_> = names.iter().collect();
+            assert_eq!(distinct.len(), names.len(), "{names:?}");
+        }
     }
 }

@@ -22,7 +22,6 @@ fn start_shard(allow_handoff: bool) -> (SocketAddr, Shutdown, thread::JoinHandle
     let engine = Arc::new(Engine::new(EngineConfig {
         cache_shards: 2,
         cache_per_shard: 256,
-        workers: 2,
         ..EngineConfig::default()
     }));
     let shutdown = Shutdown::new();
@@ -552,7 +551,6 @@ fn open_breaker_cuts_traffic_then_recloses_after_restart() {
     let engine = Arc::new(Engine::new(EngineConfig {
         cache_shards: 2,
         cache_per_shard: 256,
-        workers: 2,
         ..EngineConfig::default()
     }));
     let revived_stop = Shutdown::new();
@@ -659,6 +657,65 @@ fn fleet_metrics_aggregate_and_stay_parseable() {
         s.trigger();
         h.join().unwrap();
     }
+}
+
+/// The layout of a `STATS` + `METRICS` pair, values dropped: the ordered
+/// `STATS` keys, then every `METRICS` `# HELP`/`# TYPE` line and sample
+/// series name, with the shard address written `SHARD`.
+fn layout(conn: &mut Conn, shard: SocketAddr) -> String {
+    let mut out = String::from("STATS\n");
+    for line in reply_lines(conn, "STATS").iter().take_while(|l| *l != "END") {
+        out.push_str(line.split(' ').next().unwrap());
+        out.push('\n');
+    }
+    out.push_str("METRICS\n");
+    for line in reply_lines(conn, "METRICS").iter().take_while(|l| *l != "# EOF") {
+        let line = if line.starts_with('#') { line } else { line.rsplit_once(' ').unwrap().0 };
+        out.push_str(&line.replace(&shard.to_string(), "SHARD"));
+        out.push('\n');
+    }
+    out
+}
+
+/// After a fixed script of every decision verb, a shard's and a
+/// one-shard router's exported names, their order, help texts and types
+/// are exactly the committed layouts. A renamed, dropped, retyped or
+/// reordered value fails here; a new one is a deliberate golden edit.
+#[test]
+fn stats_and_metrics_layouts_are_pinned() {
+    let (shard, shard_stop, shard_handle) = start_shard(false);
+    let (router_addr, router, stop, handle) = start_router(&[shard], test_config());
+    let mut direct = Conn::dial(shard).expect("connect");
+    let mut via_router = Conn::dial(router_addr).expect("connect");
+    for conn in [&mut direct, &mut via_router] {
+        for line in [
+            SCHEMA.to_string(),
+            format!("CHECK app {}", pair(1, "x")),
+            format!("CHECK app {}", pair(1, "y")),
+            "UCHECK app select x.B from x in R where x.A = 1 or select x.B from x in R \
+             where x.A = 2 ;; select y.B from y in R"
+                .to_string(),
+            "CERT CHECK app select [a: x.A, g: (select y.B from y in R where y.A = x.A)] \
+             from x in R ;; select [a: x.A, g: (select y.B from y in R)] from x in R"
+                .to_string(),
+            "EXPLAIN CHECK app select x.A from x in R ;; select x.A from x in R, y in S"
+                .to_string(),
+            "AGG q(X) :- R(X,Y). | count(Y) ;; q(X) :- R(X,Z). | count(Z)".to_string(),
+            "NEST app R ; nest B as G ; unnest G ;; R".to_string(),
+        ] {
+            let reply = conn.request(&line).unwrap();
+            assert!(reply.starts_with("OK"), "{line}: {reply}");
+        }
+    }
+    assert_eq!(layout(&mut direct, shard), include_str!("golden/shard_layout.txt"));
+    assert_eq!(layout(&mut via_router, shard), include_str!("golden/router_layout.txt"));
+
+    drop((direct, via_router)); // hang up first, so the drains end at once
+    stop.trigger();
+    handle.join().unwrap();
+    drop(router); // closes its pooled connections
+    shard_stop.trigger();
+    shard_handle.join().unwrap();
 }
 
 #[test]

@@ -41,7 +41,6 @@ fn start_shard() -> (SocketAddr, Shutdown, thread::JoinHandle<()>) {
     let engine = Arc::new(Engine::new(EngineConfig {
         cache_shards: 2,
         cache_per_shard: 4096,
-        workers: 2,
         kernel_threads: 1,
         ..EngineConfig::default()
     }));

@@ -1,4 +1,4 @@
-//! The batch decision engine: fingerprint → memo cache → decide.
+//! The decision engine: fingerprint → memo cache → decide.
 //!
 //! One [`Engine`] owns the registered schemas, the shared [`MemoCache`],
 //! a bounded LRU of [`Prepared`] queries (one per *distinct canonical query*,
@@ -18,13 +18,12 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
-use std::thread;
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use co_core::{ContainmentAnalysis, CoreError, Equivalence, Prepared};
 use co_cq::Schema;
-use co_lang::{CoqlSchema, EmptySetStatus};
+use co_lang::CoqlSchema;
 use co_object::{interrupt, par, Type};
 use co_trace::{kernel, Span};
 
@@ -46,8 +45,6 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// LRU capacity per shard.
     pub cache_per_shard: usize,
-    /// Worker threads used by [`Engine::decide_batch`].
-    pub workers: usize,
     /// Nesting cap applied when parsing query text (untrusted socket/CLI
     /// input). Deeper input is rejected with a `TOODEEP`-prefixed error
     /// instead of risking a stack overflow in the parser.
@@ -61,11 +58,9 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
-        let cores = thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         EngineConfig {
             cache_shards: 16,
             cache_per_shard: 4096,
-            workers: cores.clamp(2, 16),
             max_parse_depth: co_lang::parse::DEFAULT_MAX_DEPTH,
             kernel_threads: 0,
         }
@@ -233,7 +228,7 @@ pub enum Decision {
 pub struct Explain {
     /// Parsing + type checking the query text.
     pub parse_us: u64,
-    /// Normalizing the parsed queries ([`co_lang::normalize`]); the phase
+    /// Normalizing the parsed queries ([`co_lang::normalize()`]); the phase
     /// keeps its wire name `canonicalize`.
     pub canonicalize_us: u64,
     /// The canonical walk over the normal forms
@@ -433,7 +428,6 @@ pub struct Engine {
     prepared: ShardedLru<(Fingerprint, Fingerprint), Arc<Prepared>>,
     inflight: Mutex<HashMap<CacheKey, Arc<InFlightSlot>>>,
     stats: EngineStats,
-    workers: usize,
     max_parse_depth: usize,
     last_snapshot: Mutex<Option<Instant>>,
     started: Instant,
@@ -464,7 +458,6 @@ impl Engine {
             prepared: ShardedLru::new(config.cache_shards, config.cache_per_shard),
             inflight: Mutex::new(HashMap::new()),
             stats: EngineStats::default(),
-            workers: config.workers.max(1),
             max_parse_depth: config.max_parse_depth.max(1),
             last_snapshot: Mutex::new(None),
             started: Instant::now(),
@@ -901,7 +894,7 @@ impl Engine {
                 let entry = CacheEntry { analysis: analysis.clone(), cert };
                 self.cache.insert(key, entry.clone());
                 self.stats.computed.fetch_add(1, Ordering::Relaxed);
-                self.stats.path_latency[path_index(analysis.path)].record(elapsed);
+                self.stats.path_latency[path_index(analysis.path)].observe_duration(elapsed);
                 // The analysis is valid whatever became of the certificate,
                 // so waiters always get the verdict; only *this* request
                 // carries the certificate failure.
@@ -1109,19 +1102,12 @@ impl Engine {
             });
         }
         let (fwd, bwd) = (fwd.scalar(), bwd.scalar());
-        let verdict = if !(fwd.analysis.holds && bwd.analysis.holds) {
-            Equivalence::NotEquivalent
-        } else {
-            let (p1, p2) = (&left.disjuncts[0].1, &right.disjuncts[0].1);
-            let no_empty =
-                p1.empty_status == EmptySetStatus::Free && p2.empty_status == EmptySetStatus::Free;
-            let flat = p1.ty.is_flat_relation() && p2.ty.is_flat_relation();
-            if no_empty || flat {
-                Equivalence::Equivalent
-            } else {
-                Equivalence::WeaklyEquivalentOnly
-            }
-        };
+        let verdict = co_core::equivalence_verdict(
+            &left.disjuncts[0].1,
+            &right.disjuncts[0].1,
+            fwd.analysis.holds,
+            bwd.analysis.holds,
+        );
         Ok(Decision::Equivalence {
             forward: fwd.analysis.holds,
             backward: bwd.analysis.holds,
@@ -1131,61 +1117,6 @@ impl Engine {
             fp2,
             cert_forward: fwd.cert.filter(|_| want_cert),
             cert_backward: bwd.cert.filter(|_| want_cert),
-        })
-    }
-
-    /// Answers a batch by fanning the requests across the engine's worker
-    /// pool (plain `std::thread` + `mpsc`). Identical in-flight keys are
-    /// computed once; results come back in request order.
-    pub fn decide_batch(&self, requests: &[Request]) -> Vec<Result<Decision, String>> {
-        let n = requests.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = self.workers.min(n);
-        if workers <= 1 {
-            return requests.iter().map(|r| self.decide(r)).collect();
-        }
-        let (task_tx, task_rx) = mpsc::channel::<usize>();
-        let task_rx = Arc::new(Mutex::new(task_rx));
-        let (result_tx, result_rx) = mpsc::channel::<(usize, Result<Decision, String>)>();
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                let task_rx = Arc::clone(&task_rx);
-                let result_tx = result_tx.clone();
-                scope.spawn(move || loop {
-                    let next = sync::lock(&task_rx).recv();
-                    match next {
-                        Ok(i) => {
-                            // Isolate per-request panics so one poisoned
-                            // request cannot take down its whole batch.
-                            let result =
-                                catch_unwind(AssertUnwindSafe(|| self.decide(&requests[i])))
-                                    .unwrap_or_else(|payload| {
-                                        self.stats.panics.fetch_add(1, Ordering::Relaxed);
-                                        Err(format!(
-                                            "internal error: request panicked: {}",
-                                            panic_message(&*payload)
-                                        ))
-                                    });
-                            if result_tx.send((i, result)).is_err() {
-                                break;
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                });
-            }
-            drop(result_tx);
-            for i in 0..n {
-                task_tx.send(i).expect("workers outlive the queue");
-            }
-            drop(task_tx);
-            let mut out: Vec<Option<Result<Decision, String>>> = (0..n).map(|_| None).collect();
-            for (i, result) in result_rx {
-                out[i] = Some(result);
-            }
-            out.into_iter().map(|slot| slot.expect("every request produced a result")).collect()
         })
     }
 
@@ -1219,7 +1150,6 @@ mod tests {
         let e = Engine::new(EngineConfig {
             cache_shards: 4,
             cache_per_shard: 64,
-            workers: 4,
             ..EngineConfig::default()
         });
         e.register_schema("s", Schema::with_relations(&[("R", &["A", "B"]), ("S", &["C"])]));
@@ -1316,30 +1246,6 @@ mod tests {
         assert_eq!(ex2.kernel_us, 0);
         // Explained decisions flow into the process-wide kernel totals.
         assert!(kernel::global_totals().total() > 0);
-    }
-
-    #[test]
-    fn batch_returns_results_in_order() {
-        let e = engine();
-        let reqs: Vec<Request> = (0..32)
-            .map(|i| {
-                if i % 2 == 0 {
-                    check("s", "select x.B from x in R where x.A = 1", "select x.B from x in R")
-                } else {
-                    check("s", "select x.B from x in R", "select x.B from x in R where x.A = 1")
-                }
-            })
-            .collect();
-        let out = e.decide_batch(&reqs);
-        assert_eq!(out.len(), 32);
-        for (i, r) in out.iter().enumerate() {
-            let Ok(Decision::Containment { analysis, .. }) = r else {
-                panic!("request {i} failed: {r:?}");
-            };
-            assert_eq!(analysis.holds, i % 2 == 0, "request {i}");
-        }
-        // 32 requests, 2 distinct keys.
-        assert_eq!(e.stats().computed.load(Ordering::Relaxed), 2);
     }
 
     /// A prepared tree's text with its fresh variables (`ₑ<mint count>`)

@@ -4,7 +4,7 @@
 //! *normalized* query pair, which makes their verdicts ideal to memoize:
 //! production query workloads are duplicate-heavy, with many
 //! syntactically-distinct but semantically-identical requests. This crate
-//! is the serving subsystem built on that observation, in four layers:
+//! is the serving subsystem built on that observation, in five layers:
 //!
 //! 1. [`fingerprint`] — stable 128-bit hashes of
 //!    [`co_lang::canonical_query`]'s canonical form, so requests differing
@@ -13,16 +13,19 @@
 //! 2. [`cache`] — a sharded, bounded, `std`-only LRU memo cache of
 //!    [`co_core::ContainmentAnalysis`] keyed by
 //!    `(fp(q1), fp(q2), fp(schema))`, with hit/miss/eviction counters;
-//! 3. [`engine`] — the batch decision engine: schema registry, shared
-//!    [`co_core::Prepared`] reuse (one per distinct canonical query),
-//!    in-flight coalescing of concurrent identical requests, and a
-//!    `std::thread` + `mpsc` worker pool behind
-//!    [`Engine::decide_batch`];
+//! 3. [`engine`] — the decision engine: schema registry, shared
+//!    [`co_core::Prepared`] reuse (one per distinct canonical query), and
+//!    in-flight coalescing of concurrent identical requests, so callers on
+//!    many threads (one per `coqld` connection) share each verdict through
+//!    [`Engine::decide`];
 //! 4. [`server`] — the `coqld` TCP front end: a line-oriented
-//!    `CHECK`/`EQUIV`/`FINGERPRINT`/`SCHEMA`/`STATS` protocol with
-//!    per-decision-path latency histograms. The protocol itself — request
-//!    grammar, verb table, reply framing and the one client connection —
-//!    is [`wire`], shared with the router, `coqlc` and the tests;
+//!    `CHECK`/`EQUIV`/`FINGERPRINT`/`SCHEMA`/`STATS` protocol. `STATS` and
+//!    `METRICS` are two renderings of one row list
+//!    ([`co_trace::Exposition`]) over the counters in [`stats`],
+//!    per-decision-path latency histograms included. The protocol itself
+//!    — request grammar, verb table, reply framing and the one client
+//!    connection — is [`wire`], shared with the router, `coqlc` and the
+//!    tests;
 //! 5. [`snapshot`] — a versioned, checksummed on-disk format for the memo
 //!    cache, published atomically (temp + fsync + rename) by a background
 //!    snapshotter so restarts warm-start instead of recomputing
@@ -92,5 +95,5 @@ pub use snapshot::{
     crc32, decode_snapshot, encode_snapshot, from_hex, load_snapshot, peek_header, to_hex,
     write_snapshot, LoadOutcome, SnapshotHeader, FORMAT_VERSION,
 };
-pub use stats::{EngineStats, LatencyHistogram, ServerStats};
+pub use stats::{EngineStats, ServerStats};
 pub use wire::{read_bounded_line, write_line, LineRead};

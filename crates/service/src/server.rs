@@ -66,7 +66,7 @@ use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -74,14 +74,15 @@ use std::time::{Duration, Instant};
 use co_cq::{RelSchema, Schema};
 use co_object::{interrupt, par};
 
-use co_trace::{kernel, Span};
+use co_trace::Kind::{Counter, Gauge};
+use co_trace::{kernel, Exposition, Span};
 
 use crate::deadline::RequestBudget;
 use crate::engine::{Decision, Engine, Explain, Op, Request};
 use crate::faults;
 use crate::fingerprint::FINGERPRINT_VERSION;
 use crate::snapshot::{from_hex, to_hex, FORMAT_VERSION};
-use crate::stats::{path_label, LatencyHistogram, ServerStats};
+use crate::stats::{path_label, ServerStats};
 use crate::sync;
 use crate::wire::{self, read_bounded_line, write_line, Cmd, LineRead, Side, Verb};
 
@@ -540,8 +541,8 @@ fn handle_line(line: &str, ctx: &ServerCtx, conn: &mut ConnState) -> Reply {
                 format!("OK schema={name} fp={fp} relations={relations}")
             })
         }),
-        Cmd::Stats => Ok(render_stats(ctx)),
-        Cmd::Metrics => Ok(render_metrics(ctx)),
+        Cmd::Stats => Ok(exposition(ctx).stats()),
+        Cmd::Metrics => Ok(exposition(ctx).prometheus() + "# EOF"),
         Cmd::SnapExport | Cmd::SnapBegin | Cmd::SnapData | Cmd::SnapCommit | Cmd::SnapAbort => {
             if ctx.config.allow_handoff {
                 handle_snap(verb, rest, ctx, conn)
@@ -913,293 +914,71 @@ fn handle_nest(
     }
 }
 
-/// The `STATS` payload: `<key> <value>` lines terminated by `END`.
-fn render_stats(ctx: &ServerCtx) -> String {
+/// Every value this shard exports, as one row list: `STATS` is its
+/// `key value` rendering, `METRICS` its Prometheus rendering (plus the
+/// process-wide kernel step totals, which are `METRICS`-only).
+#[rustfmt::skip]
+fn exposition(ctx: &ServerCtx) -> Exposition {
     let engine = &ctx.engine;
     let cache = engine.cache_stats();
     let stats = engine.stats();
-    let coalesced = stats.coalesced.load(Ordering::Relaxed);
+    let server = &ctx.stats;
+    let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+    let coalesced = load(&stats.coalesced);
     let lookups = cache.hits + cache.misses;
     let effective =
         if lookups == 0 { 0.0 } else { (cache.hits + coalesced) as f64 / lookups as f64 };
-    let mut out = String::new();
-    let mut put = |k: &str, v: String| {
-        out.push_str(k);
-        out.push(' ');
-        out.push_str(&v);
-        out.push('\n');
-    };
-    put("uptime_seconds", engine.uptime_seconds().to_string());
-    put("build.format_version", FORMAT_VERSION.to_string());
-    put("build.fingerprint_version", FINGERPRINT_VERSION.to_string());
-    put("decisions", stats.decisions.load(Ordering::Relaxed).to_string());
-    put("computed", stats.computed.load(Ordering::Relaxed).to_string());
-    put("coalesced", coalesced.to_string());
-    put("inflight", stats.in_flight.load(Ordering::Relaxed).to_string());
-    put("timeouts", stats.timeouts.load(Ordering::Relaxed).to_string());
-    put("panics", stats.panics.load(Ordering::Relaxed).to_string());
-    put("schemas", engine.schema_count().to_string());
-    put("prepared", engine.prepared_count().to_string());
-    put("engine.kernel_threads", par::effective_threads().to_string());
-    put("server.accepted", ctx.stats.accepted.load(Ordering::Relaxed).to_string());
-    put("server.shed", ctx.stats.shed.load(Ordering::Relaxed).to_string());
-    put("server.oversized", ctx.stats.oversized.load(Ordering::Relaxed).to_string());
-    put("server.idle_closed", ctx.stats.idle_closed.load(Ordering::Relaxed).to_string());
-    put("server.conn_panics", ctx.stats.conn_panics.load(Ordering::Relaxed).to_string());
-    put("server.slow_requests", ctx.stats.slow_requests.load(Ordering::Relaxed).to_string());
-    put("cache.hits", cache.hits.to_string());
-    put("cache.misses", cache.misses.to_string());
-    put("cache.evictions", cache.evictions.to_string());
-    put("cache.entries", cache.entries.to_string());
-    put("cache.capacity", cache.capacity.to_string());
-    put("cache.shards", cache.shards.to_string());
-    put("cache.hit_rate", format!("{:.4}", cache.hit_rate()));
-    put("cache.effective_hit_rate", format!("{effective:.4}"));
-    put("unions.decisions", stats.union_decisions.load(Ordering::Relaxed).to_string());
-    put("unions.hits", stats.union_hits.load(Ordering::Relaxed).to_string());
-    put("persist.recovered_entries", stats.recovered_entries.load(Ordering::Relaxed).to_string());
-    put("persist.snapshots_written", stats.snapshots_written.load(Ordering::Relaxed).to_string());
-    put("persist.snapshot_failures", stats.snapshot_failures.load(Ordering::Relaxed).to_string());
-    put("persist.quarantined", stats.quarantined.load(Ordering::Relaxed).to_string());
-    put("persist.cert_rejected", stats.cert_rejected.load(Ordering::Relaxed).to_string());
-    let age = engine.snapshot_age_ms().map(|ms| ms.to_string());
-    put("persist.snapshot_age_ms", age.unwrap_or_else(|| "-1".to_string()));
-    for (i, hist) in stats.path_latency.iter().enumerate() {
+    let age = engine.snapshot_age_ms().map_or(-1, |ms| ms as i64);
+    let mut t = Exposition::new();
+    t.row("uptime_seconds", "coqld_uptime_seconds", "Seconds since this engine started (a decrease between scrapes means a restart)", Gauge, engine.uptime_seconds());
+    t.stat("build.format_version", FORMAT_VERSION);
+    t.stat("build.fingerprint_version", FINGERPRINT_VERSION);
+    let versions = format!("format_version=\"{FORMAT_VERSION}\",fingerprint_version=\"{FINGERPRINT_VERSION}\"");
+    t.labeled("coqld_build_info", "Snapshot/fingerprint format versions of this build", Gauge, [(versions, 1)]);
+    t.row("decisions", "coqld_decisions_total", "Containment decisions answered", Counter, load(&stats.decisions));
+    t.row("computed", "coqld_computed_total", "Decisions computed (cache misses)", Counter, load(&stats.computed));
+    t.row("coalesced", "coqld_coalesced_total", "Requests coalesced onto an in-flight twin", Counter, coalesced);
+    t.row("inflight", "coqld_inflight", "Decisions currently being computed", Gauge, load(&stats.in_flight));
+    t.row("timeouts", "coqld_timeouts_total", "Requests abandoned at their deadline or step budget", Counter, load(&stats.timeouts));
+    t.row("panics", "coqld_panics_total", "Decision computations contained by panic isolation", Counter, load(&stats.panics));
+    t.row("schemas", "coqld_schemas", "Registered schemas", Gauge, engine.schema_count());
+    t.row("prepared", "coqld_prepared_queries", "Distinct prepared queries shared", Gauge, engine.prepared_count());
+    t.row("engine.kernel_threads", "coqld_kernel_threads", "Threads each decision kernel may use (auto resolved once per process)", Gauge, par::effective_threads());
+    t.row("server.accepted", "coqld_server_accepted_total", "Connections accepted", Counter, load(&server.accepted));
+    t.row("server.shed", "coqld_server_shed_total", "Connections shed at the connection cap", Counter, load(&server.shed));
+    t.row("server.oversized", "coqld_server_oversized_total", "Requests rejected for exceeding the line cap", Counter, load(&server.oversized));
+    t.row("server.idle_closed", "coqld_server_idle_closed_total", "Connections closed for idling past the read timeout", Counter, load(&server.idle_closed));
+    t.row("server.conn_panics", "coqld_server_conn_panics_total", "Connection handlers contained by panic isolation", Counter, load(&server.conn_panics));
+    t.row("server.slow_requests", "coqld_server_slow_requests_total", "Requests logged as slow", Counter, load(&server.slow_requests));
+    t.row("cache.hits", "coqld_cache_hits_total", "Memo-cache hits", Counter, cache.hits);
+    t.row("cache.misses", "coqld_cache_misses_total", "Memo-cache misses", Counter, cache.misses);
+    t.row("cache.evictions", "coqld_cache_evictions_total", "Memo-cache LRU evictions", Counter, cache.evictions);
+    t.row("cache.entries", "coqld_cache_entries", "Live memo-cache entries", Gauge, cache.entries);
+    t.row("cache.capacity", "coqld_cache_capacity", "Memo-cache capacity", Gauge, cache.capacity);
+    t.row("cache.shards", "coqld_cache_shards", "Memo-cache shards", Gauge, cache.shards);
+    t.ratio("cache.hit_rate", "coqld_cache_hit_rate", "Memo-cache hit rate", cache.hit_rate());
+    t.ratio("cache.effective_hit_rate", "coqld_cache_effective_hit_rate", "Hit rate counting coalesced requests", effective);
+    t.row("unions.decisions", "coqld_union_decisions_total", "Union (UCHECK/UEQUIV) decisions answered", Counter, load(&stats.union_decisions));
+    t.row("unions.hits", "coqld_union_hits_total", "Union requests answered entirely from memoized pair verdicts", Counter, load(&stats.union_hits));
+    t.row("persist.recovered_entries", "coqld_persist_recovered_entries_total", "Verdicts recovered at warm start", Counter, load(&stats.recovered_entries));
+    t.row("persist.snapshots_written", "coqld_persist_snapshots_written_total", "Cache snapshots published", Counter, load(&stats.snapshots_written));
+    t.row("persist.snapshot_failures", "coqld_persist_snapshot_failures_total", "Cache snapshot writes that failed", Counter, load(&stats.snapshot_failures));
+    t.row("persist.quarantined", "coqld_persist_quarantined_total", "Snapshots rejected at load and moved aside", Counter, load(&stats.quarantined));
+    t.row("persist.cert_rejected", "coqld_persist_cert_rejected_total", "Cached certificates rejected by the co-cert re-check", Counter, load(&stats.cert_rejected));
+    t.row("persist.snapshot_age_ms", "coqld_persist_snapshot_age_ms", "Milliseconds since the last snapshot (-1 before the first)", Gauge, age);
+    for (i, h) in stats.path_latency.iter().enumerate() {
         let label = path_label(i);
-        put(&format!("path.{label}.count"), hist.count().to_string());
-        put(&format!("path.{label}.mean_us"), hist.mean_us().to_string());
-        put(&format!("path.{label}.p50_us"), hist.quantile_us(0.5).to_string());
-        put(&format!("path.{label}.p99_us"), hist.quantile_us(0.99).to_string());
+        t.stat(&format!("path.{label}.count"), h.count());
+        t.stat(&format!("path.{label}.mean_us"), h.mean());
+        t.stat(&format!("path.{label}.p50_us"), h.quantile(0.5));
+        t.stat(&format!("path.{label}.p99_us"), h.quantile(0.99));
     }
-    out.push_str("END");
-    out
-}
-
-/// Appends one Prometheus counter family (`# HELP`/`# TYPE` + sample).
-fn put_counter(out: &mut String, name: &str, help: &str, value: u64) {
-    debug_assert!(co_trace::is_valid_metric_name(name), "{name}");
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
-}
-
-/// Appends one Prometheus gauge family with an integer value.
-fn put_gauge(out: &mut String, name: &str, help: &str, value: i64) {
-    debug_assert!(co_trace::is_valid_metric_name(name), "{name}");
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"));
-}
-
-/// Appends one Prometheus gauge family with a float value (ratios).
-fn put_gauge_f(out: &mut String, name: &str, help: &str, value: f64) {
-    debug_assert!(co_trace::is_valid_metric_name(name), "{name}");
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value:.4}\n"));
-}
-
-/// Appends one labeled summary series (quantiles + `_sum`/`_count`) for a
-/// latency histogram; the family's `# HELP`/`# TYPE` are emitted by the
-/// caller once.
-fn put_summary_series(out: &mut String, name: &str, label: &str, hist: &LatencyHistogram) {
-    for (q, tag) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-        out.push_str(&format!(
-            "{name}{{path=\"{label}\",quantile=\"{tag}\"}} {}\n",
-            hist.quantile_us(q)
-        ));
-    }
-    out.push_str(&format!("{name}_sum{{path=\"{label}\"}} {}\n", hist.sum_us()));
-    out.push_str(&format!("{name}_count{{path=\"{label}\"}} {}\n", hist.count()));
-}
-
-/// The `METRICS` payload: Prometheus text exposition of every `STATS`
-/// counter plus the process-wide kernel step totals, terminated by
-/// `# EOF` (which doubles as the line-protocol end marker).
-fn render_metrics(ctx: &ServerCtx) -> String {
-    let engine = &ctx.engine;
-    let cache = engine.cache_stats();
-    let stats = engine.stats();
-    let coalesced = stats.coalesced.load(Ordering::Relaxed);
-    let lookups = cache.hits + cache.misses;
-    let effective =
-        if lookups == 0 { 0.0 } else { (cache.hits + coalesced) as f64 / lookups as f64 };
-    let out = &mut String::new();
-    let load = |a: &std::sync::atomic::AtomicU64| a.load(Ordering::Relaxed);
-
-    put_gauge(
-        out,
-        "coqld_uptime_seconds",
-        "Seconds since this engine started (a decrease between scrapes means a restart)",
-        engine.uptime_seconds() as i64,
-    );
-    out.push_str(
-        "# HELP coqld_build_info Snapshot/fingerprint format versions of this build\n\
-         # TYPE coqld_build_info gauge\n",
-    );
-    out.push_str(&format!(
-        "coqld_build_info{{format_version=\"{FORMAT_VERSION}\",\
-         fingerprint_version=\"{FINGERPRINT_VERSION}\"}} 1\n"
-    ));
-    put_counter(
-        out,
-        "coqld_decisions_total",
-        "Containment decisions answered",
-        load(&stats.decisions),
-    );
-    put_counter(
-        out,
-        "coqld_computed_total",
-        "Decisions computed (cache misses)",
-        load(&stats.computed),
-    );
-    put_counter(
-        out,
-        "coqld_coalesced_total",
-        "Requests coalesced onto an in-flight twin",
-        coalesced,
-    );
-    put_counter(
-        out,
-        "coqld_timeouts_total",
-        "Requests abandoned at their deadline or step budget",
-        load(&stats.timeouts),
-    );
-    put_counter(
-        out,
-        "coqld_panics_total",
-        "Decision computations contained by panic isolation",
-        load(&stats.panics),
-    );
-    put_gauge(
-        out,
-        "coqld_inflight",
-        "Decisions currently being computed",
-        load(&stats.in_flight) as i64,
-    );
-    put_gauge(out, "coqld_schemas", "Registered schemas", engine.schema_count() as i64);
-    put_gauge(
-        out,
-        "coqld_prepared_queries",
-        "Distinct prepared queries shared",
-        engine.prepared_count() as i64,
-    );
-    put_gauge(
-        out,
-        "coqld_kernel_threads",
-        "Threads each decision kernel may use (auto resolved once per process)",
-        par::effective_threads() as i64,
-    );
-
-    put_counter(
-        out,
-        "coqld_server_accepted_total",
-        "Connections accepted",
-        load(&ctx.stats.accepted),
-    );
-    put_counter(
-        out,
-        "coqld_server_shed_total",
-        "Connections shed at the connection cap",
-        load(&ctx.stats.shed),
-    );
-    put_counter(
-        out,
-        "coqld_server_oversized_total",
-        "Requests rejected for exceeding the line cap",
-        load(&ctx.stats.oversized),
-    );
-    put_counter(
-        out,
-        "coqld_server_idle_closed_total",
-        "Connections closed for idling past the read timeout",
-        load(&ctx.stats.idle_closed),
-    );
-    put_counter(
-        out,
-        "coqld_server_conn_panics_total",
-        "Connection handlers contained by panic isolation",
-        load(&ctx.stats.conn_panics),
-    );
-    put_counter(
-        out,
-        "coqld_server_slow_requests_total",
-        "Requests logged as slow",
-        load(&ctx.stats.slow_requests),
-    );
-
-    put_counter(out, "coqld_cache_hits_total", "Memo-cache hits", cache.hits);
-    put_counter(out, "coqld_cache_misses_total", "Memo-cache misses", cache.misses);
-    put_counter(out, "coqld_cache_evictions_total", "Memo-cache LRU evictions", cache.evictions);
-    put_gauge(out, "coqld_cache_entries", "Live memo-cache entries", cache.entries as i64);
-    put_gauge(out, "coqld_cache_capacity", "Memo-cache capacity", cache.capacity as i64);
-    put_gauge(out, "coqld_cache_shards", "Memo-cache shards", cache.shards as i64);
-    put_gauge_f(out, "coqld_cache_hit_rate", "Memo-cache hit rate", cache.hit_rate());
-    put_gauge_f(
-        out,
-        "coqld_cache_effective_hit_rate",
-        "Hit rate counting coalesced requests",
-        effective,
-    );
-
-    put_counter(
-        out,
-        "coqld_union_decisions_total",
-        "Union (UCHECK/UEQUIV) decisions answered",
-        load(&stats.union_decisions),
-    );
-    put_counter(
-        out,
-        "coqld_union_hits_total",
-        "Union requests answered entirely from memoized pair verdicts",
-        load(&stats.union_hits),
-    );
-
-    put_counter(
-        out,
-        "coqld_persist_recovered_entries_total",
-        "Verdicts recovered at warm start",
-        load(&stats.recovered_entries),
-    );
-    put_counter(
-        out,
-        "coqld_persist_snapshots_written_total",
-        "Cache snapshots published",
-        load(&stats.snapshots_written),
-    );
-    put_counter(
-        out,
-        "coqld_persist_snapshot_failures_total",
-        "Cache snapshot writes that failed",
-        load(&stats.snapshot_failures),
-    );
-    put_counter(
-        out,
-        "coqld_persist_quarantined_total",
-        "Snapshots rejected at load and moved aside",
-        load(&stats.quarantined),
-    );
-    put_counter(
-        out,
-        "coqld_persist_cert_rejected_total",
-        "Cached certificates rejected by the co-cert re-check",
-        load(&stats.cert_rejected),
-    );
-    let age = engine.snapshot_age_ms().map(|ms| ms as i64).unwrap_or(-1);
-    put_gauge(
-        out,
-        "coqld_persist_snapshot_age_ms",
-        "Milliseconds since the last snapshot (-1 before the first)",
-        age,
-    );
-
-    out.push_str("# HELP coqld_path_latency_us Latency of computed decisions by decision path\n");
-    out.push_str("# TYPE coqld_path_latency_us summary\n");
-    for (i, hist) in stats.path_latency.iter().enumerate() {
-        put_summary_series(out, "coqld_path_latency_us", path_label(i), hist);
-    }
-
+    let paths = stats.path_latency.iter().enumerate().map(|(i, h)| (format!("path=\"{}\"", path_label(i)), h));
+    t.summary("coqld_path_latency_us", "Latency of computed decisions by decision path", paths);
     for (name, value) in kernel::global_totals().iter() {
-        let family = format!("coqld_kernel_{name}_total");
-        put_counter(out, &family, "Kernel steps across all requests", value);
+        t.family(&format!("coqld_kernel_{name}_total"), "Kernel steps across all requests", Counter, value);
     }
-
-    out.push_str("# EOF");
-    std::mem::take(out)
+    t
 }
 
 /// Parses a one-line (or multi-line) schema declaration: relation schemas
@@ -1245,7 +1024,6 @@ mod tests {
         let engine = Engine::new(EngineConfig {
             cache_shards: 2,
             cache_per_shard: 32,
-            workers: 2,
             ..EngineConfig::default()
         });
         ServerCtx {
@@ -1262,6 +1040,26 @@ mod tests {
             Reply::Quit => "QUIT".to_string(),
             Reply::Shutdown => "SHUTDOWN".to_string(),
             Reply::None => String::new(),
+        }
+    }
+
+    /// Every family the shard can emit, the kernel counters included, is
+    /// a valid Prometheus name, and no family or `STATS` key repeats.
+    #[test]
+    fn exported_names_are_valid_and_distinct() {
+        let text = exposition(&ctx()).prometheus();
+        let families: Vec<&str> =
+            text.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()).collect();
+        assert!(families.len() > kernel::ALL.len(), "{families:?}");
+        for name in &families {
+            assert!(co_trace::is_valid_metric_name(name), "{name}");
+        }
+        let stats = exposition(&ctx()).stats();
+        let keys: Vec<&str> =
+            stats.lines().filter_map(|l| l.split_once(' ')).map(|l| l.0).collect();
+        for names in [&families, &keys] {
+            let distinct: std::collections::HashSet<_> = names.iter().collect();
+            assert_eq!(distinct.len(), names.len(), "{names:?}");
         }
     }
 

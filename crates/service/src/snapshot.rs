@@ -166,15 +166,6 @@ pub fn encode_snapshot(entries: &[(CacheKey, CacheEntry)]) -> Vec<u8> {
     buf
 }
 
-/// Fully verifies and deserializes a `COQLSNP1` byte stream: the inverse
-/// of [`encode_snapshot`], all-or-nothing. Any mismatch — magic, either
-/// version, entry count vs. length, any CRC, any out-of-range field —
-/// rejects the whole payload; no entry from a bad stream is ever returned.
-/// Version-1 streams (pre-certificate layout) decode with `cert = None`.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<(CacheKey, CacheEntry)>, String> {
-    parse_snapshot(bytes)
-}
-
 /// The version/count fields of a snapshot header, verified (magic + CRC)
 /// but *not* compared against this build's constants — callers decide
 /// whether a foreign snapshot is compatible (e.g. the router refuses
@@ -325,7 +316,7 @@ pub fn load_snapshot(path: &Path) -> LoadOutcome {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return LoadOutcome::Missing,
         Err(e) => return quarantine(path, format!("unreadable: {e}")),
     };
-    match parse_snapshot(&bytes) {
+    match decode_snapshot(&bytes) {
         Ok(entries) => LoadOutcome::Loaded(entries),
         Err(reason) => quarantine(path, reason),
     }
@@ -337,37 +328,27 @@ fn quarantine(path: &Path, reason: String) -> LoadOutcome {
     LoadOutcome::Quarantined { reason, moved_to }
 }
 
-fn parse_snapshot(bytes: &[u8]) -> Result<Vec<(CacheKey, CacheEntry)>, String> {
-    if bytes.len() < HEADER_LEN {
-        return Err(format!("truncated header: {} bytes", bytes.len()));
-    }
-    if bytes[..8] != SNAPSHOT_MAGIC {
-        return Err("bad magic".to_string());
-    }
-    let format = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+/// Fully verifies and deserializes a `COQLSNP1` byte stream: the inverse
+/// of [`encode_snapshot`], all-or-nothing. [`peek_header`] checks the
+/// magic, header CRC and declared length; this build's versions are then
+/// enforced, and any record CRC or out-of-range field rejects the whole
+/// payload — no entry from a bad stream is ever returned. Version-1
+/// streams (pre-certificate layout) decode with `cert = None`.
+pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<(CacheKey, CacheEntry)>, String> {
+    let header = peek_header(bytes)?;
+    let format = header.format_version;
     if format != 1 && format != FORMAT_VERSION {
         return Err(format!("format version {format}, expected {FORMAT_VERSION} (or legacy 1)"));
     }
-    let fp_version = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+    let fp_version = header.fingerprint_version;
     if fp_version != FINGERPRINT_VERSION {
         return Err(format!(
             "fingerprint version {fp_version}, expected {FINGERPRINT_VERSION} \
              (stale snapshot from an incompatible build)"
         ));
     }
-    let count = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let header_crc = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
-    if header_crc != crc32(&bytes[..24]) {
-        return Err("header CRC mismatch".to_string());
-    }
+    let count = header.entries;
     if format == 1 {
-        let expected_len = HEADER_LEN as u64 + count.saturating_mul(V1_RECORD_LEN as u64);
-        if bytes.len() as u64 != expected_len {
-            return Err(format!(
-                "length mismatch: {} bytes for {count} entries (expected {expected_len})",
-                bytes.len()
-            ));
-        }
         let mut entries = Vec::with_capacity(count as usize);
         for (i, record) in bytes[HEADER_LEN..].chunks_exact(V1_RECORD_LEN).enumerate() {
             let stored_crc =

@@ -78,7 +78,6 @@ fn concurrent_hammering_matches_uncached_decisions() {
     let engine = Arc::new(Engine::new(EngineConfig {
         cache_shards: 4,
         cache_per_shard: 64,
-        workers: 4,
         ..EngineConfig::default()
     }));
     engine.register_schema("s", schema.clone());
@@ -141,8 +140,7 @@ fn concurrent_hammering_matches_uncached_decisions() {
 #[test]
 fn prepared_queries_stay_within_the_memo_capacity() {
     let schema = Schema::with_relations(&[("R", &["A", "B"]), ("S", &["C"])]);
-    let config =
-        EngineConfig { cache_shards: 2, cache_per_shard: 8, workers: 1, ..EngineConfig::default() };
+    let config = EngineConfig { cache_shards: 2, cache_per_shard: 8, ..EngineConfig::default() };
     let engine = Engine::new(config);
     engine.register_schema("s", schema.clone());
     let capacity = engine.cache_stats().capacity;

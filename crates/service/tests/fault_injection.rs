@@ -48,7 +48,6 @@ fn start_server(config: ServerConfig) -> TestServer {
     let engine = Arc::new(Engine::new(EngineConfig {
         cache_shards: 4,
         cache_per_shard: 256,
-        workers: 4,
         ..EngineConfig::default()
     }));
     let shutdown = Shutdown::new();
@@ -180,7 +179,6 @@ fn slow_leader_does_not_hold_short_deadline_waiter_hostage() {
     let engine = Arc::new(Engine::new(EngineConfig {
         cache_shards: 2,
         cache_per_shard: 32,
-        workers: 2,
         ..EngineConfig::default()
     }));
     engine.register_schema("s", co_cq::Schema::with_relations(&[("R", &["A", "B"])]));

@@ -10,7 +10,6 @@ fn engine() -> Engine {
     let e = Engine::new(EngineConfig {
         cache_shards: 4,
         cache_per_shard: 64,
-        workers: 2,
         ..EngineConfig::default()
     });
     e.register_schema("s", Schema::with_relations(&[("R", &["A", "B"]), ("S", &["C"])]));

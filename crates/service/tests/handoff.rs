@@ -25,7 +25,6 @@ fn start_server(allow_handoff: bool) -> (SocketAddr, Shutdown, thread::JoinHandl
     let engine = Arc::new(Engine::new(EngineConfig {
         cache_shards: 2,
         cache_per_shard: 256,
-        workers: 2,
         ..EngineConfig::default()
     }));
     let shutdown = Shutdown::new();

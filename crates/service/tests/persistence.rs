@@ -37,12 +37,7 @@ fn tempdir(name: &str) -> PathBuf {
 }
 
 fn small_engine() -> Engine {
-    Engine::new(EngineConfig {
-        cache_shards: 2,
-        cache_per_shard: 64,
-        workers: 2,
-        ..EngineConfig::default()
-    })
+    Engine::new(EngineConfig { cache_shards: 2, cache_per_shard: 64, ..EngineConfig::default() })
 }
 
 fn schema() -> co_cq::Schema {

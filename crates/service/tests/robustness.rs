@@ -29,7 +29,6 @@ impl TestServer {
         let engine = Arc::new(Engine::new(EngineConfig {
             cache_shards: 4,
             cache_per_shard: 64,
-            workers: 2,
             ..EngineConfig::default()
         }));
         let shutdown = Shutdown::new();
@@ -202,7 +201,6 @@ fn step_budget_exhaustion_times_out_without_caching() {
     let engine = Engine::new(EngineConfig {
         cache_shards: 2,
         cache_per_shard: 32,
-        workers: 2,
         ..EngineConfig::default()
     });
     engine
@@ -253,7 +251,6 @@ fn cert_under_step_budgets_is_a_timeout_unavailable_or_valid() {
         let engine = Engine::new(EngineConfig {
             cache_shards: 1,
             cache_per_shard: 8,
-            workers: 1,
             ..EngineConfig::default()
         });
         engine.register_schema("s", schema.clone());
@@ -356,7 +353,6 @@ fn parallel_kernels_respect_budgets_and_join_workers() {
     let engine = Engine::new(EngineConfig {
         cache_shards: 2,
         cache_per_shard: 32,
-        workers: 2,
         kernel_threads: 4,
         ..EngineConfig::default()
     });

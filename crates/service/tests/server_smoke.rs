@@ -15,7 +15,6 @@ fn start_server() -> std::net::SocketAddr {
     let engine = Arc::new(Engine::new(EngineConfig {
         cache_shards: 4,
         cache_per_shard: 64,
-        workers: 2,
         ..EngineConfig::default()
     }));
     thread::spawn(move || {

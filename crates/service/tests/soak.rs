@@ -47,7 +47,6 @@ fn start_server() -> (SocketAddr, Shutdown, thread::JoinHandle<()>) {
     let engine = Arc::new(Engine::new(EngineConfig {
         cache_shards: 4,
         cache_per_shard: 256,
-        workers: 4,
         ..EngineConfig::default()
     }));
     let shutdown = Shutdown::new();

@@ -1,6 +1,6 @@
 //! Std-only observability primitives for the decision stack (DESIGN.md §12).
 //!
-//! Two complementary mechanisms live here:
+//! Three pieces live here:
 //!
 //! * [`kernel`] — a **fixed** set of per-kernel step counters
 //!   ([`kernel::Metric`]) backed by a thread-local array of `Cell<u64>`.
@@ -17,18 +17,20 @@
 //!   ([`kernel::global_totals`], the `METRICS` fleet view) — one
 //!   mechanism feeds both sinks.
 //!
-//! * [`Registry`] — dynamically registered, lock-free [`Counter`] /
-//!   [`Gauge`] / [`Histogram`] handles with Prometheus text exposition
-//!   ([`Registry::render_prometheus`]). Registration takes a mutex once;
-//!   the returned handles are `Arc`'d atomics that never lock again.
+//! * [`Histogram`] — a lock-free log₂-bucketed latency histogram.
+//!
+//! * [`Exposition`] — one process's exported values as one row list,
+//!   rendered either as `STATS` (`key value` lines) or as Prometheus
+//!   text. A server builds it from its live counters on each scrape, so
+//!   a value has exactly one name per format and one place it is read.
 //!
 //! Plus [`Span`], a minimal monotonic timer for phase breakdowns.
 //!
 //! Everything is `std`-only: no registry dependencies, usable from every
 //! crate in the workspace including the kernels themselves.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::fmt::{Display, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 pub mod kernel;
@@ -66,106 +68,21 @@ impl Span {
     }
 }
 
-/// A monotone counter handle. Cheap to clone; all clones share one atomic.
-#[derive(Clone, Default)]
-pub struct Counter {
-    value: Arc<AtomicU64>,
-}
-
-impl Counter {
-    /// A counter not attached to any registry (useful in tests).
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`. Saturates at `u64::MAX` instead of wrapping, so a
-    /// scraped counter can never appear to decrease.
-    pub fn add(&self, n: u64) {
-        let mut current = self.value.load(Ordering::Relaxed);
-        loop {
-            let next = current.saturating_add(n);
-            match self.value.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge handle: a value that can move both ways.
-#[derive(Clone, Default)]
-pub struct Gauge {
-    value: Arc<AtomicI64>,
-}
-
-impl Gauge {
-    /// A gauge not attached to any registry.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Sets the gauge.
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
 /// Number of log₂ buckets in a [`Histogram`]: bucket `i` holds samples in
 /// `[2^(i-1), 2^i)` (bucket 0 is `< 1`), topping out at `2^30` ≈ 1.07e9.
 const HIST_BUCKETS: usize = 31;
 
-struct HistogramInner {
+/// A lock-free log₂-bucketed histogram over non-negative samples
+/// (conventionally microseconds).
+#[derive(Default)]
+pub struct Histogram {
     buckets: [AtomicU64; HIST_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
 }
 
-/// A lock-free log₂-bucketed histogram over non-negative samples
-/// (conventionally microseconds).
-#[derive(Clone)]
-pub struct Histogram {
-    inner: Arc<HistogramInner>,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram {
-            inner: Arc::new(HistogramInner {
-                buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-            }),
-        }
-    }
-}
-
 impl Histogram {
-    /// A histogram not attached to any registry.
+    /// An empty histogram.
     pub fn new() -> Histogram {
         Histogram::default()
     }
@@ -173,13 +90,14 @@ impl Histogram {
     /// Records one sample.
     pub fn observe(&self, sample: u64) {
         let bucket = (64 - sample.leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        self.inner.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.inner.count.fetch_add(1, Ordering::Relaxed);
-        // Saturating accumulation: a scraped sum must never wrap backwards.
-        let mut current = self.inner.sum.load(Ordering::Relaxed);
+        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        // Saturating, not wrapping: a sum that pins at u64::MAX is obviously
+        // exhausted, one that wraps small silently corrupts every mean.
+        let mut current = self.sum.load(Ordering::Relaxed);
         loop {
             let next = current.saturating_add(sample);
-            match self.inner.sum.compare_exchange_weak(
+            match self.sum.compare_exchange_weak(
                 current,
                 next,
                 Ordering::Relaxed,
@@ -191,24 +109,24 @@ impl Histogram {
         }
     }
 
-    /// Records a duration as microseconds.
+    /// Records a duration as microseconds (clamped to `u64::MAX`).
     pub fn observe_duration(&self, elapsed: Duration) {
         self.observe(elapsed.as_micros().min(u64::MAX as u128) as u64);
     }
 
-    /// Starts a timer that records into this histogram when dropped.
-    pub fn time(&self) -> HistogramTimer {
-        HistogramTimer { histogram: self.clone(), span: Span::start() }
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
+        self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of recorded samples (saturating).
     pub fn sum(&self) -> u64 {
-        self.inner.sum.load(Ordering::Relaxed)
+        self.sum.load(Ordering::Relaxed)
+    }
+
+    /// `sum / count`, rounded down (0 with no samples).
+    pub fn mean(&self) -> u64 {
+        self.sum().checked_div(self.count()).unwrap_or(0)
     }
 
     /// Upper bound of the bucket containing the q-quantile, `0 <= q <= 1`
@@ -220,7 +138,7 @@ impl Histogram {
         }
         let rank = ((n as f64) * q).ceil().max(1.0) as u64;
         let mut seen = 0u64;
-        for (i, b) in self.inner.buckets.iter().enumerate() {
+        for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= rank {
                 return if i == 0 { 1 } else { 1u64 << i };
@@ -230,167 +148,118 @@ impl Histogram {
     }
 }
 
-/// RAII timer from [`Histogram::time`]: observes the elapsed microseconds
-/// when dropped.
-pub struct HistogramTimer {
-    histogram: Histogram,
-    span: Span,
+/// The Prometheus type of an exported family.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotone.
+    Counter,
+    /// Moves both ways.
+    Gauge,
 }
 
-impl Drop for HistogramTimer {
-    fn drop(&mut self) {
-        self.histogram.observe(self.span.elapsed_us());
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        }
     }
 }
 
-enum Instrument {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
+/// The summary quantiles every [`Exposition::summary`] series carries.
+const SUMMARY_QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")];
 
-struct Entry {
-    name: String,
-    help: String,
-    instrument: Instrument,
-}
-
-/// A named collection of instruments with Prometheus text exposition.
+/// One process's exported values, in one row order, with one renderer
+/// per format.
 ///
-/// Registration is `Mutex`-guarded (it happens once per instrument, at
-/// startup); the handles it returns are lock-free. Registering the same
-/// name twice returns a handle to the *same* underlying instrument, so
-/// independent components can share a metric without coordination.
+/// Each row names its value for `STATS` (a dotted key), for `METRICS` (a
+/// Prometheus family with help text and type), or both; every row is
+/// appended to both renderings at once, so the two can never list a
+/// value in different places or under unpaired names. Labeled families
+/// (per-path, per-shard) are `METRICS`-only.
 #[derive(Default)]
-pub struct Registry {
-    entries: Mutex<Vec<Entry>>,
+pub struct Exposition {
+    stats: String,
+    prometheus: String,
 }
 
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
+impl Exposition {
+    /// An empty row list.
+    pub fn new() -> Exposition {
+        Exposition::default()
     }
 
-    /// Registers (or retrieves) a monotone counter.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different instrument kind.
-    pub fn counter(&self, name: &str, help: &str) -> Counter {
-        let name = sanitize_metric_name(name);
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = entries.iter().find(|e| e.name == name) {
-            match &entry.instrument {
-                Instrument::Counter(c) => return c.clone(),
-                _ => panic!("metric `{name}` already registered as a non-counter"),
+    /// A value exported under both a `STATS` key and a one-sample family.
+    pub fn row(&mut self, key: &str, family: &str, help: &str, kind: Kind, value: impl Display) {
+        self.stat(key, &value);
+        self.family(family, help, kind, value);
+    }
+
+    /// A ratio row: a gauge printed with four decimals in both formats.
+    pub fn ratio(&mut self, key: &str, family: &str, help: &str, value: f64) {
+        self.row(key, family, help, Kind::Gauge, format_args!("{value:.4}"));
+    }
+
+    /// A `STATS`-only value.
+    pub fn stat(&mut self, key: &str, value: impl Display) {
+        let _ = writeln!(self.stats, "{key} {value}");
+    }
+
+    /// A `METRICS`-only family with one unlabeled sample.
+    pub fn family(&mut self, name: &str, help: &str, kind: Kind, value: impl Display) {
+        self.header(name, help, kind.name());
+        let _ = writeln!(self.prometheus, "{name} {value}");
+    }
+
+    /// A `METRICS`-only family with one sample per label set (each label
+    /// set rendered `k="v",…`, without braces).
+    pub fn labeled<V: Display>(
+        &mut self,
+        name: &str,
+        help: &str,
+        kind: Kind,
+        series: impl IntoIterator<Item = (String, V)>,
+    ) {
+        self.header(name, help, kind.name());
+        for (labels, value) in series {
+            let _ = writeln!(self.prometheus, "{name}{{{labels}}} {value}");
+        }
+    }
+
+    /// A `METRICS`-only summary family: per label set, the 0.5, 0.9 and
+    /// 0.99 quantiles of its histogram plus `_sum` and `_count`.
+    pub fn summary<'h>(
+        &mut self,
+        name: &str,
+        help: &str,
+        series: impl IntoIterator<Item = (String, &'h Histogram)>,
+    ) {
+        self.header(name, help, "summary");
+        for (labels, h) in series {
+            for (q, tag) in SUMMARY_QUANTILES {
+                let value = h.quantile(q);
+                let _ = writeln!(self.prometheus, "{name}{{{labels},quantile=\"{tag}\"}} {value}");
             }
+            let _ = writeln!(self.prometheus, "{name}_sum{{{labels}}} {}", h.sum());
+            let _ = writeln!(self.prometheus, "{name}_count{{{labels}}} {}", h.count());
         }
-        let counter = Counter::new();
-        entries.push(Entry {
-            name,
-            help: help.to_string(),
-            instrument: Instrument::Counter(counter.clone()),
-        });
-        counter
     }
 
-    /// Registers (or retrieves) a gauge.
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different instrument kind.
-    pub fn gauge(&self, name: &str, help: &str) -> Gauge {
-        let name = sanitize_metric_name(name);
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = entries.iter().find(|e| e.name == name) {
-            match &entry.instrument {
-                Instrument::Gauge(g) => return g.clone(),
-                _ => panic!("metric `{name}` already registered as a non-gauge"),
-            }
-        }
-        let gauge = Gauge::new();
-        entries.push(Entry {
-            name,
-            help: help.to_string(),
-            instrument: Instrument::Gauge(gauge.clone()),
-        });
-        gauge
+    fn header(&mut self, name: &str, help: &str, kind: &str) {
+        let _ = write!(self.prometheus, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
     }
 
-    /// Registers (or retrieves) a histogram (exposed as a Prometheus
-    /// summary: quantile series plus `_sum`/`_count`).
-    ///
-    /// # Panics
-    /// If `name` is already registered as a different instrument kind.
-    pub fn histogram(&self, name: &str, help: &str) -> Histogram {
-        let name = sanitize_metric_name(name);
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = entries.iter().find(|e| e.name == name) {
-            match &entry.instrument {
-                Instrument::Histogram(h) => return h.clone(),
-                _ => panic!("metric `{name}` already registered as a non-histogram"),
-            }
-        }
-        let histogram = Histogram::new();
-        entries.push(Entry {
-            name,
-            help: help.to_string(),
-            instrument: Instrument::Histogram(histogram.clone()),
-        });
-        histogram
+    /// The `STATS` rendering: `key value` lines, then `END`.
+    pub fn stats(mut self) -> String {
+        self.stats.push_str("END");
+        self.stats
     }
 
-    /// Renders every registered instrument in Prometheus text exposition
-    /// format (stable order: registration order), **without** a trailing
-    /// `# EOF` terminator — callers that speak OpenMetrics append it.
-    pub fn render_prometheus(&self) -> String {
-        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = String::new();
-        for entry in entries.iter() {
-            render_instrument(&mut out, &entry.name, &entry.help, &entry.instrument);
-        }
-        out
+    /// The Prometheus text rendering, **without** a trailing `# EOF` —
+    /// callers that speak OpenMetrics append it.
+    pub fn prometheus(self) -> String {
+        self.prometheus
     }
-}
-
-fn render_instrument(out: &mut String, name: &str, help: &str, instrument: &Instrument) {
-    if !help.is_empty() {
-        out.push_str(&format!("# HELP {name} {}\n", help.replace('\n', " ")));
-    }
-    match instrument {
-        Instrument::Counter(c) => {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.get()));
-        }
-        Instrument::Gauge(g) => {
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.get()));
-        }
-        Instrument::Histogram(h) => {
-            out.push_str(&format!("# TYPE {name} summary\n"));
-            for q in [0.5, 0.9, 0.99] {
-                out.push_str(&format!("{name}{{quantile=\"{q}\"}} {}\n", h.quantile(q)));
-            }
-            out.push_str(&format!("{name}_sum {}\n", h.sum()));
-            out.push_str(&format!("{name}_count {}\n", h.count()));
-        }
-    }
-}
-
-/// Coerces a string into the Prometheus metric-name charset
-/// `[a-zA-Z_:][a-zA-Z0-9_:]*`: invalid characters become `_`, and a
-/// leading digit gets a `_` prefix. Empty input becomes `"_"`.
-pub fn sanitize_metric_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for (i, ch) in name.chars().enumerate() {
-        let valid =
-            ch.is_ascii_alphabetic() || ch == '_' || ch == ':' || (i > 0 && ch.is_ascii_digit());
-        if i == 0 && ch.is_ascii_digit() {
-            out.push('_');
-        }
-        out.push(if valid || ch.is_ascii_digit() { ch } else { '_' });
-    }
-    if out.is_empty() {
-        out.push('_');
-    }
-    out
 }
 
 /// Whether `name` is a valid Prometheus metric name.
@@ -408,121 +277,126 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_round_trip() {
-        let r = Registry::new();
-        let c = r.counter("requests_total", "requests");
-        c.inc();
-        c.add(2);
-        assert_eq!(c.get(), 3);
-        // Same name returns the same instrument.
-        assert_eq!(r.counter("requests_total", "requests").get(), 3);
-        let g = r.gauge("inflight", "live");
-        g.set(5);
-        g.add(-2);
-        assert_eq!(g.get(), 3);
-        let text = r.render_prometheus();
-        assert!(text.contains("# TYPE requests_total counter"), "{text}");
-        assert!(text.contains("requests_total 3"), "{text}");
-        assert!(text.contains("inflight 3"), "{text}");
-    }
-
-    #[test]
-    fn counter_saturates_instead_of_wrapping() {
-        let c = Counter::new();
-        c.add(u64::MAX - 1);
-        c.add(10);
-        assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
-    fn histogram_quantiles_and_timer() {
+    fn histogram_quantiles_and_mean() {
         let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), 0);
-        for v in [1u64, 3, 8, 100, 1000] {
+        for v in [0u64, 1, 3, 8, 100, 1000] {
             h.observe(v);
         }
-        assert_eq!(h.count(), 5);
+        assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 1112);
+        assert_eq!(h.mean(), 185);
         assert!(h.quantile(0.5) <= 16);
         assert!(h.quantile(1.0) >= 1000);
-        drop(h.time());
-        assert_eq!(h.count(), 6);
     }
 
     #[test]
-    fn name_sanitization() {
-        assert_eq!(sanitize_metric_name("cache.hits"), "cache_hits");
-        assert_eq!(sanitize_metric_name("9lives"), "_9lives");
-        assert_eq!(sanitize_metric_name("ok_name:x0"), "ok_name:x0");
-        assert_eq!(sanitize_metric_name(""), "_");
-        assert!(is_valid_metric_name("coqld_cache_hits_total"));
-        assert!(!is_valid_metric_name("bad.name"));
-        assert!(!is_valid_metric_name("0bad"));
-        assert!(!is_valid_metric_name(""));
-    }
-
-    #[test]
-    fn rendered_names_always_parse() {
-        let r = Registry::new();
-        r.counter("weird name!", "").inc();
-        r.gauge("1st", "").set(1);
-        for line in r.render_prometheus().lines() {
-            if line.starts_with('#') {
-                continue;
-            }
-            let name = line.split([' ', '{']).next().unwrap();
-            let name = name.trim_end_matches("_sum").trim_end_matches("_count");
-            assert!(is_valid_metric_name(name), "{line}");
+    fn empty_histogram_is_all_zeros() {
+        let h = Histogram::new();
+        assert_eq!((h.count(), h.sum(), h.mean()), (0, 0, 0));
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(h.quantile(q), 0, "q={q}");
         }
     }
 
     #[test]
-    fn concurrent_increments_sum_exactly() {
-        let r = Registry::new();
-        let c = r.counter("racy_total", "contended counter");
-        let h = r.histogram("racy_us", "contended histogram");
+    fn single_sample_dominates_every_quantile() {
+        let h = Histogram::new();
+        h.observe_duration(Duration::from_micros(100));
+        assert_eq!((h.count(), h.sum(), h.mean()), (1, 100, 100));
+        // Log₂ buckets: the answer is the bucket's upper bound, within 2×.
+        let p50 = h.quantile(0.5);
+        assert!((100..=256).contains(&p50), "{p50}");
+        assert_eq!(h.quantile(0.0), h.quantile(1.0));
+    }
+
+    #[test]
+    fn extreme_samples_saturate_without_wrapping() {
+        let h = Histogram::new();
+        // A Duration whose µs exceed u64::MAX must clamp, not wrap.
+        h.observe_duration(Duration::MAX);
+        assert_eq!((h.count(), h.sum(), h.mean()), (1, u64::MAX, u64::MAX));
+        // The sample lands in the top bucket and the quantile stays there.
+        assert_eq!(h.quantile(1.0), 1u64 << (HIST_BUCKETS - 1));
+        // A second extreme sample keeps count exact and pins the sum at
+        // the boundary instead of wrapping.
+        h.observe_duration(Duration::MAX);
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.sum(), u64::MAX, "sum must saturate, not wrap");
+    }
+
+    #[test]
+    fn quantiles_are_monotone_in_q() {
+        let h = Histogram::new();
+        for v in [1u64, 2, 4, 50, 900, 7_000, 120_000] {
+            h.observe(v);
+        }
+        let values: Vec<u64> =
+            [0.0, 0.1, 0.5, 0.9, 0.99, 1.0].iter().map(|&q| h.quantile(q)).collect();
+        for pair in values.windows(2) {
+            assert!(pair[0] <= pair[1], "quantiles not monotone: {values:?}");
+        }
+    }
+
+    #[test]
+    fn concurrent_observations_sum_exactly() {
+        let h = Histogram::new();
         std::thread::scope(|scope| {
             for _ in 0..8 {
-                let c = c.clone();
-                let h = h.clone();
-                scope.spawn(move || {
-                    for _ in 0..10_000 {
-                        c.inc();
-                    }
+                scope.spawn(|| {
                     for _ in 0..1_000 {
-                        h.observe(3);
+                        h.observe(7);
                     }
                 });
             }
         });
-        assert_eq!(c.get(), 80_000);
         assert_eq!(h.count(), 8_000);
-        assert_eq!(h.sum(), 24_000);
-        // And the rendered exposition reflects the exact totals.
-        let text = r.render_prometheus();
-        assert!(text.contains("racy_total 80000"), "{text}");
-        assert!(text.contains("racy_us_count 8000"), "{text}");
+        assert_eq!(h.sum(), 56_000);
     }
 
     #[test]
-    fn exposition_is_stable_and_parseable() {
-        let r = Registry::new();
-        r.counter("b_total", "").add(2);
-        r.counter("a_total", "").add(1);
-        r.gauge("g", "").set(-4);
-        r.histogram("h_us", "").observe(9);
-        let first = r.render_prometheus();
-        let second = r.render_prometheus();
-        assert_eq!(first, second, "exposition must be deterministic");
-        // Registration order is preserved (stable scrape diffs), and every
-        // sample line is `name[{labels}] value` with a numeric value.
-        let b = first.find("b_total").unwrap();
-        let a = first.find("a_total").unwrap();
-        assert!(b < a, "registration order must be preserved:\n{first}");
-        for line in first.lines().filter(|l| !l.starts_with('#') && !l.is_empty()) {
-            let (_, value) = line.rsplit_once(' ').expect("sample line");
+    fn exposition_renders_each_row_in_both_formats() {
+        let h = Histogram::new();
+        h.observe(9);
+        let build = || {
+            let mut t = Exposition::new();
+            t.row("a.hits", "a_hits_total", "Hits", Kind::Counter, 3);
+            t.stat("a.only_stats", -1);
+            t.ratio("a.rate", "a_rate", "Rate", 1.0 / 3.0);
+            t.family("a_steps_total", "Steps", Kind::Counter, 7);
+            t.labeled("a_up", "Up", Kind::Gauge, [("shard=\"s:1\"".to_string(), 1)]);
+            t.summary("a_us", "Latency", [("path=\"flat\"".to_string(), &h)]);
+            t
+        };
+        assert_eq!(build().stats(), "a.hits 3\na.only_stats -1\na.rate 0.3333\nEND");
+        let text = build().prometheus();
+        assert_eq!(
+            text,
+            "# HELP a_hits_total Hits\n# TYPE a_hits_total counter\na_hits_total 3\n\
+             # HELP a_rate Rate\n# TYPE a_rate gauge\na_rate 0.3333\n\
+             # HELP a_steps_total Steps\n# TYPE a_steps_total counter\na_steps_total 7\n\
+             # HELP a_up Up\n# TYPE a_up gauge\na_up{shard=\"s:1\"} 1\n\
+             # HELP a_us Latency\n# TYPE a_us summary\n\
+             a_us{path=\"flat\",quantile=\"0.5\"} 16\n\
+             a_us{path=\"flat\",quantile=\"0.9\"} 16\n\
+             a_us{path=\"flat\",quantile=\"0.99\"} 16\n\
+             a_us_sum{path=\"flat\"} 9\na_us_count{path=\"flat\"} 1\n"
+        );
+        // Every sample line is `name[{labels}] value` with a valid name
+        // and a numeric value.
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            let (series, value) = line.rsplit_once(' ').expect("sample line");
+            assert!(is_valid_metric_name(series.split('{').next().unwrap()), "{line}");
             assert!(value.parse::<f64>().is_ok(), "{line}");
         }
+    }
+
+    #[test]
+    fn metric_name_validity() {
+        assert!(is_valid_metric_name("coqld_cache_hits_total"));
+        assert!(is_valid_metric_name("ok_name:x0"));
+        assert!(!is_valid_metric_name("bad.name"));
+        assert!(!is_valid_metric_name("0bad"));
+        assert!(!is_valid_metric_name(""));
     }
 
     #[test]

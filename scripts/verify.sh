@@ -19,6 +19,9 @@ run() {
 
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
+# Docs: every intra-doc link resolves to a public item, so deleting or
+# renaming an item its docs still name fails here instead of dangling.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # Tier-1 (ROADMAP.md): the gate every change must keep green.
 run cargo build --release
 run cargo test -q

@@ -271,9 +271,11 @@ fn cmd_check(schema_text: &str, q1_text: &str, q2_text: &str) -> Result<String, 
     let schema = parse_schema(schema_text)?;
     let q1 = parse_query(q1_text)?;
     let q2 = parse_query(q2_text)?;
-    let fwd = co_core::contained_in(&q1, &q2, &schema).map_err(|e| e.to_string())?;
-    let bwd = co_core::contained_in(&q2, &q1, &schema).map_err(|e| e.to_string())?;
-    let verdict = co_core::equivalent(&q1, &q2, &schema).map_err(|e| e.to_string())?;
+    let p1 = co_core::prepare(&q1, &schema).map_err(|e| e.to_string())?;
+    let p2 = co_core::prepare(&q2, &schema).map_err(|e| e.to_string())?;
+    let fwd = co_core::contained_prepared(&p1, &p2).map_err(|e| e.to_string())?;
+    let bwd = co_core::contained_prepared(&p2, &p1).map_err(|e| e.to_string())?;
+    let verdict = co_core::equivalence_verdict(&p1, &p2, fwd.holds, bwd.holds);
     let mut out = String::new();
     let _ = writeln!(out, "q1: {q1}");
     let _ = writeln!(out, "q2: {q2}");

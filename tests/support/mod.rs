@@ -66,7 +66,6 @@ pub fn serve_shard(kernel_threads: usize) -> SocketAddr {
     let engine = Arc::new(Engine::new(EngineConfig {
         cache_shards: 4,
         cache_per_shard: 256,
-        workers: 2,
         kernel_threads,
         ..EngineConfig::default()
     }));
